@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from ctrop.cli import main
 
@@ -121,3 +124,83 @@ def test_float_rendering(capsys):
                          "--n", "4", "--J", "2,4")
     assert rc == 0
     assert json.loads(out)["tableau"] == [[0, 1], [1, 1]]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+RUNNING_SEED = str(INPUTS / "running_seed.json")
+FROZEN_SEED = str(INPUTS / "frozen_seed.json")
+POLYTOPE = str(INPUTS / "polytope.json")
+
+# name -> argv.  golden/<name>.out holds the exact stdout, golden/<name>.err
+# the stderr of the cases that write any, and golden/exit_codes.json the
+# exit codes, all as produced by ctrop.cli.main.
+GOLDEN_CASES = {
+    "transport_A_toward": [
+        "laurent", "transport", "--seed-file", RUNNING_SEED,
+        "--from-word", "0,1", "--poly", str(INPUTS / "poly_pos.json")],
+    "transport_A_away": [
+        "laurent", "transport", "--seed-file", RUNNING_SEED,
+        "--to-word", "0,1", "--poly", str(INPUTS / "poly_pos.json")],
+    "transport_A_frozen_across": [
+        "laurent", "transport", "--seed-file", FROZEN_SEED,
+        "--from-word", "0", "--to-word", "1",
+        "--poly", str(INPUTS / "poly_frozen.json")],
+    "transport_A_not_laurent": [
+        "laurent", "transport", "--seed-file", RUNNING_SEED,
+        "--to-word", "1", "--poly", str(INPUTS / "poly_bad.json")],
+    "transport_X_toward": [
+        "laurent", "transport", "--seed-file", RUNNING_SEED,
+        "--from-word", "0,1", "--poly", str(INPUTS / "poly_neg.json"),
+        "--flavor", "X"],
+    "transport_X_away": [
+        "laurent", "transport", "--seed-file", RUNNING_SEED,
+        "--to-word", "0,1", "--poly", str(INPUTS / "poly_neg.json"),
+        "--flavor", "X"],
+    "transport_X_away_positive": [
+        "laurent", "transport", "--seed-file", RUNNING_SEED,
+        "--to-word", "1", "--poly", str(INPUTS / "poly_pos.json"),
+        "--flavor", "X"],
+    "scatter_theta_a2": [
+        "scatter", "theta", "--fixture", "a2", "--label=-1,0"],
+    "scatter_theta_kronecker": [
+        "scatter", "theta", "--fixture", "kronecker", "--label=-1,1"],
+    "scatter_theta_on_x": [
+        "scatter", "theta", "--fixture", "running-example",
+        "--label", "2(-1,-2)", "--on-x"],
+    "scatter_alpha_a2": [
+        "scatter", "alpha", "--fixture", "a2", "--p=-1,0", "--q", "1,0",
+        "--r", "0,1"],
+    "scatter_alpha_running": [
+        "scatter", "alpha", "--fixture", "running-example", "--p=-1,1",
+        "--q=0,-1", "--r=-1,0"],
+    "gr_nobody_gvec_unimodular": [
+        "gr", "nobody", "--k", "3", "--n", "6", "--side", "gvec",
+        "--check-unimodular"],
+}
+for _flavor in ("A", "X"):
+    for _conv in ("T", "t"):
+        _map = ["trop", "map", "--seed-file", RUNNING_SEED, "--word", "0,1",
+                "--flavor", _flavor, "--convention", _conv]
+        GOLDEN_CASES["trop_point_%s_%s" % (_flavor, _conv)] = \
+            _map + ["--point", "2,-3"]
+        GOLDEN_CASES["trop_polytope_%s_%s" % (_flavor, _conv)] = \
+            _map + ["--polytope", POLYTOPE]
+    GOLDEN_CASES["trop_point_%s_backtrack" % _flavor] = [
+        "trop", "map", "--seed-file", RUNNING_SEED, "--word", "1,0,0",
+        "--flavor", _flavor, "--convention", "t", "--point", "2,-3"]
+for _fixture in ("a2", "running-example", "kronecker"):
+    GOLDEN_CASES["scatter_complete_%s" % _fixture] = [
+        "scatter", "complete", "--fixture", _fixture]
+    GOLDEN_CASES["scatter_complete_%s_principal" % _fixture] = [
+        "scatter", "complete", "--fixture", _fixture, "--principal"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_golden(name, capsys):
+    rc, out, err = run_cli(capsys, *GOLDEN_CASES[name])
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert rc == codes[name]
+    assert out == (GOLDEN / ("%s.out" % name)).read_text()
+    err_file = GOLDEN / ("%s.err" % name)
+    assert err == (err_file.read_text() if err_file.exists() else "")
