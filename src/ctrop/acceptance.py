@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from .errors import NonGenericEndpoint
+from .errors import BadParams, NonGenericEndpoint
 from .grassmannian import (GrData, cluster_bfs_g_vectors, gt_vector,
                            hook_g_table, hook_g_vector, homogenized_g,
                            no_body, rectangles_seed, verify_val_gv)
@@ -41,19 +41,19 @@ def _poly_from_json(data, dim):
     return LaurentPolynomial.from_json(data, dim)
 
 
-def running_example_diagram(order=12):
-    s = load_fixture_seed("running_example.json")
-    fd = s.fixed
+def fixture_diagram(name, order, principal=False):
+    """Completed diagram of a rank-2 fixture seed, by its short name, and
+    the ensemble map p; with principal=True the diagram is built on the
+    principal-coefficient data."""
+    files = {"running-example": "running_example.json", "a2": "a2.json",
+             "kronecker": "kronecker.json"}
+    if name not in files:
+        raise BadParams("unknown fixture %r" % (name,))
+    fd = load_fixture_seed(files[name]).fixed
     p = ensemble_map(fd)
-    fdp = build_principal(fd)
-    pp = principal_ensemble_map(fd, p)
-    return complete_rank2(initial_diagram(fdp, pp, order)), p
-
-
-def a2_diagram(order=10):
-    s = load_fixture_seed("a2.json")
-    fd = s.fixed
-    p = ensemble_map(fd)
+    if principal:
+        return complete_rank2(initial_diagram(
+            build_principal(fd), principal_ensemble_map(fd, p), order)), p
     return complete_rank2(initial_diagram(fd, p, order)), p
 
 
@@ -73,7 +73,7 @@ def gr36_fixture_diagram(only_wall=None):
 def criterion_1():
     """Running example: theta on X with label 2(-1,-2) and its lift."""
     fx = _fixture("running_example.json")
-    dia, p = running_example_diagram()
+    dia, p = fixture_diagram("running-example", 12, principal=True)
     got, exact = theta_on_x(dia, tuple(fx["theta_x_label"]), p)
     want = _poly_from_json(fx["expected_theta_x"], 2)
     lift_label = (2, -2, -1, -2)
@@ -116,15 +116,6 @@ def criterion_2():
         bend_pt = hit.segments[1][3]
         ok_bendpoint = tuple(bend_pt) == half
         t_final = hit.leg_times()[0]
-        # time from val(p_356) to the bend point along the initial segment
-        diff = tuple(a - b for a, b in zip(bend_pt, val["356"]))
-        t_initial = None
-        for c, d in zip(diff, v1):
-            if d:
-                t_initial = -Fraction(c) / d
-                break
-        ok_times = (t_final == Fraction(1, 2)
-                    and t_initial == Fraction(-1, 2))
         # the initial segment, walked backward half a unit, passes 356
         ok_times = t_final == Fraction(1, 2) and all(
             b + Fraction(v, 2) == s for b, v, s in zip(bend_pt, v1, val["356"]))
@@ -164,7 +155,7 @@ def criterion_3():
 def criterion_4():
     """Rank-2 scattering: A2 one-ray completion, loop identity to order 10;
     running example consistent at order 12; Kronecker at truncations <= 8."""
-    dia_a2, _ = a2_diagram(10)
+    dia_a2, _ = fixture_diagram("a2", 10)
     rays = [w for w in dia_a2.walls if w.kind == "ray"]
     g_sum = tuple(a + b for a, b in zip(
         dia_a2.fd.epsilon().rows[0], dia_a2.fd.epsilon().rows[1]))
@@ -172,13 +163,11 @@ def criterion_4():
              and rays[0].series == {1: Fraction(1)}
              and rays[0].g == tuple(int(x) for x in g_sum)
              and is_consistent(dia_a2, 10))
-    dia_run, _ = running_example_diagram(12)
+    dia_run, _ = fixture_diagram("running-example", 12, principal=True)
     run_ok = is_consistent(dia_run, 12)
-    kr = load_fixture_seed("kronecker.json").fixed
-    pk = ensemble_map(kr)
     kron_ok = True
     for order in range(2, 9):
-        dk = complete_rank2(initial_diagram(kr, pk, order))
+        dk, _ = fixture_diagram("kronecker", order)
         kron_ok = kron_ok and is_consistent(dk, order)
     return (a2_ok and run_ok and kron_ok,
             "a2=%s running=%s kronecker=%s" % (a2_ok, run_ok, kron_ok))
@@ -191,17 +180,16 @@ def criterion_5():
     from .scattering import LazyThetaTable
     rng = random.Random(20260808)
     fixtures = {}
-    for name, fix in (("a2", "a2.json"), ("running", "running_example.json")):
-        s = load_fixture_seed(fix)
-        p = ensemble_map(s.fixed)
-        dia = complete_rank2(initial_diagram(s.fixed, p, 12))
-        fixtures[name] = (s, dia, LazyThetaTable(dia, 12))
+    for name in ("a2", "running-example"):
+        dia, _ = fixture_diagram(name, 12)
+        fixtures[name] = (dia.fd.initial_seed(), dia,
+                          LazyThetaTable(dia, 12))
 
     checked = 0
     alphas_ok = True
     box = [(i, j) for i in (-2, -1, 0, 1, 2) for j in (-2, -1, 0, 1, 2)]
     for trial in range(200):
-        name = "a2" if trial % 2 == 0 else "running"
+        name = "a2" if trial % 2 == 0 else "running-example"
         s, dia, table = fixtures[name]
         pl = rng.choice(box)
         ql = rng.choice(box)

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance
+from .acceptance import fixture_diagram
 from .errors import BadParams, DomainError
 from .grassmannian import (bodies_unimodular, gt_valuation,
                            hook_g_vector, homogenized_g, no_body,
@@ -22,19 +23,30 @@ from .grassmannian import (bodies_unimodular, gt_valuation,
 from .laurent import LaurentPolynomial, transport
 from .linalg import vec
 from .polytopes import Cone, convex_hull, lattice_points, slice_cone
-from .scattering import (complete_rank2, initial_diagram, structure_constant,
-                         theta_function, theta_on_x)
-from .seeds import (build_principal, ensemble_map, principal_ensemble_map,
-                    seed_from_json, seed_to_json)
-from .trop import (PLMap, TropicalPoint, apply_pl_to_polytope,
-                   trop_mutate_A, trop_mutate_X)
+from .scattering import structure_constant, theta_function, theta_on_x
+from .seeds import seed_from_json, seed_to_json
+from .trop import PLMap, TropicalPoint, apply_pl_to_polytope, trop_mutate
 
 
 def _load_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    """Parsed JSON from a file, or from stdin for "-"; an unreadable file
+    or malformed JSON is a BadParams error."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise BadParams("cannot read %s: %s" % (path, exc.strerror or exc))
+    except ValueError as exc:
+        raise BadParams("%s is not valid JSON: %s" % (path, exc))
+
+
+def _load_polytope(path):
+    data = _load_json(path)
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise BadParams("polytope JSON needs a \"vertices\" list")
+    return convex_hull([[Fraction(x) for x in v] for v in data["vertices"]])
 
 
 def _render(value, as_float):
@@ -72,25 +84,6 @@ def _label(text):
     return _ints(text)
 
 
-def _fixture_seed(name):
-    alias = {"running-example": "running_example.json", "a2": "a2.json",
-             "kronecker": "kronecker.json"}
-    if name not in alias:
-        raise BadParams("unknown fixture %r" % (name,))
-    return acceptance.load_fixture_seed(alias[name])
-
-
-def _fixture_diagram(name, order, principal):
-    s = _fixture_seed(name)
-    fd = s.fixed
-    p = ensemble_map(fd)
-    if principal:
-        fdp = build_principal(fd)
-        pp = principal_ensemble_map(fd, p)
-        return complete_rank2(initial_diagram(fdp, pp, order)), p
-    return complete_rank2(initial_diagram(fd, p, order)), p
-
-
 def cmd_seed_mutate(args):
     s = seed_from_json(_load_json(args.file))
     s2 = s.mutate(args.k)
@@ -118,14 +111,12 @@ def cmd_trop_map(args):
         pt = TropicalPoint((), vec(_ints(args.point)), args.convention)
         cur = fd.initial_seed()
         for k in word:
-            step = trop_mutate_A if args.flavor == "A" else trop_mutate_X
-            pt = step(pt, k, cur)
+            pt = trop_mutate(pt, k, cur, args.flavor)
             cur = cur.mutate(k)
         _emit({"word": list(pt.word), "coords": [str(x) for x in pt.coords],
                "convention": pt.conv}, args)
         return
-    data = _load_json(args.polytope)
-    poly = convex_hull([[Fraction(x) for x in v] for v in data["vertices"]])
+    poly = _load_polytope(args.polytope)
     plmap = PLMap.from_mutations(fd.seed(()), word, args.flavor,
                                  args.convention)
     img, report = apply_pl_to_polytope(plmap, poly)
@@ -153,31 +144,29 @@ def cmd_poly_slice(args):
 
 
 def cmd_poly_points(args):
-    data = _load_json(args.polytope)
-    poly = convex_hull([[Fraction(x) for x in v] for v in data["vertices"]])
-    pts = lattice_points(poly)
+    pts = lattice_points(_load_polytope(args.polytope))
     _emit({"count": len(pts), "points": [list(p) for p in pts]}, args)
 
 
 def cmd_scatter_complete(args):
-    dia, _ = _fixture_diagram(args.fixture, args.order, args.principal)
+    dia, _ = fixture_diagram(args.fixture, args.order, args.principal)
     _emit(dia.to_json(), args)
 
 
 def cmd_scatter_theta(args):
     label = _label(args.label)
     if args.on_x:
-        dia, p = _fixture_diagram(args.fixture, args.order, principal=True)
+        dia, p = fixture_diagram(args.fixture, args.order, principal=True)
         poly, exact = theta_on_x(dia, label, p, degree_bound=args.order)
     else:
-        dia, p = _fixture_diagram(args.fixture, args.order, args.principal)
+        dia, p = fixture_diagram(args.fixture, args.order, args.principal)
         poly, exact = theta_function(dia, label, degree_bound=args.order)
     _emit({"label": list(label), "theta": poly.to_json(), "exact": exact},
           args)
 
 
 def cmd_scatter_alpha(args):
-    dia, _ = _fixture_diagram(args.fixture, args.order, args.principal)
+    dia, _ = fixture_diagram(args.fixture, args.order, args.principal)
     alpha = structure_constant(dia, _label(args.p), _label(args.q),
                                _label(args.r), args.order)
     _emit({"alpha": str(alpha)}, args)

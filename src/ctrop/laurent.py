@@ -182,111 +182,57 @@ def binomial_power(base_exp, power, dim):
     return one_plus.pow(power)
 
 
-def _pullback(f, binom_exp, powers):
-    """Common machinery: sum of c * z^m * (1 + z^binom)^powers[m], dividing
-    through by the common negative power and checking exactness."""
-    dim = f.dim
-    shift = max(0, max((-p for p in powers.values()), default=0))
-    numer = LaurentPolynomial.zero(dim)
-    for e, c in f.coeffs.items():
-        numer = numer + binomial_power(binom_exp, powers[e] + shift, dim).shift(e).scale(c)
-    if shift == 0:
-        return numer
-    return numer.divide_exact(binomial_power(binom_exp, shift, dim))
-
-
-def a_pullback(s, k, f):
-    """Pullback of f along the A-cluster transformation at direction k.
-
-    f lives on the chart of mutate(s, k) with exponents in that seed's own
-    cluster coordinates; the result lives on the chart of s, again in own
-    coordinates.
-    """
-    s2 = s.mutate(k)
-    f_s2 = s2.f_matrix()
-    f_s = s.f_matrix()
-    to_own = f_s.inverse().transpose()
-    v = s.v_initial(k)
-    powers = {}
-    conv = {}
-    for e in f.coeffs:
-        m_init = tuple((Mat([e]) * f_s2).rows[0])
-        p = -s.pairing_dkek(k, m_init)
-        if Fraction(p).denominator != 1:
-            raise NotLaurent("non-integral pairing; exponent not in M°")
-        conv[e] = m_init
-        powers[e] = int(p)
-    g = LaurentPolynomial({conv[e]: c for e, c in f.coeffs.items()}, f.dim)
-    res = _pullback(g, v, {conv[e]: powers[e] for e in f.coeffs})
-    return res.apply_matrix(to_own)
-
-
-def x_pullback(s, k, f):
-    """Pullback of f along the X-cluster transformation at direction k."""
-    s2 = s.mutate(k)
-    to_own = s.basis.inverse().transpose()
-    ek = s.e_initial(k)
-    dk = s.fixed.d[k]
-    lam = s.fixed.skew
-    powers = {}
-    conv = {}
-    for e in f.coeffs:
-        n_init = tuple((Mat([e]) * s2.basis).rows[0])
-        p = -dk * _skew_pair(lam, n_init, ek)
-        if Fraction(p).denominator != 1:
-            raise NotLaurent("non-integral pairing; exponent not in N")
-        conv[e] = n_init
-        powers[e] = int(p)
-    g = LaurentPolynomial({conv[e]: c for e, c in f.coeffs.items()}, f.dim)
-    res = _pullback(g, ek, {conv[e]: powers[e] for e in f.coeffs})
-    return res.apply_matrix(to_own)
-
-
 def _skew_pair(lam, a, b):
     la = lam * vec(b)
     return sum(x * y for x, y in zip(vec(a), la))
 
 
-def a_pushforward(s, k, f):
-    """Inverse of a_pullback(s, k, .): expresses a function given on the
-    chart of s in the chart of mutate(s, k)."""
-    s2 = s.mutate(k)
-    f_s = s.f_matrix()
-    to_own = s2.f_matrix().inverse().transpose()
-    v = s.v_initial(k)
-    powers = {}
-    conv = {}
-    for e in f.coeffs:
-        m_init = tuple((Mat([e]) * f_s).rows[0])
-        p = s.pairing_dkek(k, m_init)
-        if Fraction(p).denominator != 1:
-            raise NotLaurent("non-integral pairing; exponent not in M°")
-        conv[e] = m_init
-        powers[e] = int(p)
-    g = LaurentPolynomial({conv[e]: c for e, c in f.coeffs.items()}, f.dim)
-    res = _pullback(g, v, {conv[e]: powers[e] for e in f.coeffs})
-    return res.apply_matrix(to_own)
+def _chart_step(s, k, f, flavor, forward):
+    """One chart transition along the edge s -> mutate(s, k).
 
-
-def x_pushforward(s, k, f):
-    """Inverse of x_pullback(s, k, .)."""
+    With forward=False, f lives on the chart of mutate(s, k) and is pulled
+    back to the chart of s; forward=True is the inverse.  Exponents are in
+    the own coordinates of the source and target seeds.  Both flavors read
+    the same mutation formula z^m -> z^m (1 + z^b)^(-/+ <d_k e_k, m>) in
+    initial coordinates: for A, m in M° (frame f_{i;s}) and b = v_k; for X,
+    m in N (frame e_{i;s}) and b = e_k, the pairing being d_k {m, e_k}.
+    The result is divided through by the common negative power and checked
+    for exactness.
+    """
     s2 = s.mutate(k)
-    to_own = s2.basis.inverse().transpose()
-    ek = s.e_initial(k)
-    dk = s.fixed.d[k]
-    lam = s.fixed.skew
+    src, dst = (s, s2) if forward else (s2, s)
+    sign = 1 if forward else -1
+    if flavor == "A":
+        frame = src.f_matrix()
+        to_own = dst.f_matrix().inverse().transpose()
+        binom = s.v_initial(k)
+        pairing = lambda m: s.pairing_dkek(k, m)
+        lattice = "M°"
+    else:
+        frame = src.basis
+        to_own = dst.basis.inverse().transpose()
+        binom = s.e_initial(k)
+        pairing = lambda m: s.fixed.d[k] * _skew_pair(s.fixed.skew, m, binom)
+        lattice = "N"
+    g = {}
     powers = {}
-    conv = {}
-    for e in f.coeffs:
-        n_init = tuple((Mat([e]) * s.basis).rows[0])
-        p = dk * _skew_pair(lam, n_init, ek)
+    for e, c in f.coeffs.items():
+        init = tuple((Mat([e]) * frame).rows[0])
+        p = sign * pairing(init)
         if Fraction(p).denominator != 1:
-            raise NotLaurent("non-integral pairing; exponent not in N")
-        conv[e] = n_init
-        powers[e] = int(p)
-    g = LaurentPolynomial({conv[e]: c for e, c in f.coeffs.items()}, f.dim)
-    res = _pullback(g, ek, {conv[e]: powers[e] for e in f.coeffs})
-    return res.apply_matrix(to_own)
+            raise NotLaurent("non-integral pairing; exponent not in %s"
+                             % lattice)
+        g[init] = c
+        powers[init] = int(p)
+    dim = f.dim
+    shift = max(0, max((-p for p in powers.values()), default=0))
+    numer = LaurentPolynomial.zero(dim)
+    for e, c in g.items():
+        numer = numer + binomial_power(binom, powers[e] + shift,
+                                       dim).shift(e).scale(c)
+    if shift:
+        numer = numer.divide_exact(binomial_power(binom, shift, dim))
+    return numer.apply_matrix(to_own)
 
 
 def _connecting_steps(frm, to):
@@ -319,16 +265,12 @@ def transport(f, frm, to, flavor="A"):
     pullbacks and their inverses.  Raises NotLaurent if any step leaves the
     Laurent ring.
     """
-    if flavor == "A":
-        pull, push = a_pullback, a_pushforward
-    else:
-        pull, push = x_pullback, x_pushforward
     down, up = _connecting_steps(frm, to)
     g = f
     for s, k in reversed(down):
-        g = pull(s, k, g)
+        g = _chart_step(s, k, g, flavor, forward=False)
     for s, k in up:
-        g = push(s, k, g)
+        g = _chart_step(s, k, g, flavor, forward=True)
     return g
 
 
@@ -386,7 +328,7 @@ def is_pointed(f, s, p=None):
     return m0
 
 
-def g_valuation(decomp, s, p=None, order=None):
+def g_valuation(decomp, s, order=None):
     """Minimal theta label under a linear refinement of the opposite
     dominance order of s."""
     if len(decomp) == 0:

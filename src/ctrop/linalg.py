@@ -62,16 +62,6 @@ def clear_denominators(a):
     return tuple(ints)
 
 
-def primitive(a):
-    """Primitive integer vector on the ray through integer vector a."""
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    if g <= 1:
-        return tuple(a)
-    return tuple(x // g for x in a)
-
-
 class Mat:
     """Dense exact matrix over the rationals."""
 

@@ -8,6 +8,7 @@ equations and never silently dropped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -294,9 +295,6 @@ class Cone:
         x = vec(x)
         return all(vdot(n, x) >= b for n, b in self.ineqs)
 
-    def is_homogeneous(self):
-        return all(b == 0 for _, b in self.ineqs)
-
     def to_json(self):
         return [{"normal": [str(x) for x in n], "offset": str(b)}
                 for n, b in self.ineqs]
@@ -339,34 +337,20 @@ def slice_cone(cone, fiber):
 
 
 def lattice_points(p, limit=5_000_000):
-    """All integer points of a bounded polytope, in canonical order."""
+    """All integer points of a bounded polytope, in canonical order.
+
+    The bounding box is walked lazily, so only the points inside are kept."""
     if p.is_empty():
         return []
-    lo = []
-    hi = []
+    box = []
+    total = 1
     for i in range(p.dim):
         vals = [v[i] for v in p.vertices]
-        lo.append(math.ceil(min(vals)))
-        hi.append(math.floor(max(vals)))
-    total = 1
-    for a, b in zip(lo, hi):
-        total *= max(0, b - a + 1)
+        box.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
+        total *= len(box[-1])
         if total > limit:
             raise BadParams("bounding box too large for enumeration")
-    out = []
-    box = [range(a, b + 1) for a, b in zip(lo, hi)]
-
-    def rec(prefix, i):
-        if i == p.dim:
-            out.append(tuple(prefix))
-            return
-        for x in box[i]:
-            prefix.append(x)
-            rec(prefix, i + 1)
-            prefix.pop()
-
-    rec([], 0)
-    return [q for q in out if p.contains(q)]
+    return [q for q in itertools.product(*box) if p.contains(q)]
 
 
 def verify_unimodular(p, q, u, shift):

@@ -25,6 +25,9 @@ _PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
            139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
            211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271)
 
+# generic basepoints / endpoints tried before giving up
+_ATTEMPTS = 32
+
 
 def _binom(p, i):
     """Generalized binomial coefficient C(p, i) for integer p, i >= 0."""
@@ -116,6 +119,14 @@ class ScatteringDiagram:
         self.fd = fd
         self.p = p
         self._offset_cache = {}
+
+    def at_order(self, order):
+        """The same walls read at another truncation order (self when the
+        order is None or unchanged)."""
+        if order is None or order == self.order:
+            return self
+        return ScatteringDiagram(self.walls, self.dim, order, self.unfrozen,
+                                 self.fd, self.p)
 
     # -- 2d shadow helpers -------------------------------------------------
 
@@ -320,16 +331,10 @@ def _cross_sign(u, wall, dia):
     return -1 if d > 0 else 1
 
 
-def path_ordered_product(chambers, dia, order=None):
-    """Composite wall-crossing automorphism along a path through the given
-    chamber directions (2d shadow), as images of the coordinate monomials.
-
-    The path sweeps counterclockwise from each direction to the next.
-    Raises SingularPath if a chamber direction lies on a wall.
-    """
-    if order is not None and order != dia.order:
-        dia = ScatteringDiagram(dia.walls, dia.dim, order, dia.unfrozen,
-                                dia.fd, dia.p)
+def _crossings(dia, chambers):
+    """(wall index, sign) of every crossing, in order, of the path that
+    sweeps counterclockwise from each chamber direction (2d shadow) to the
+    next.  Raises SingularPath if a chamber direction lies on a wall."""
     dirs = [tuple(Fraction(x) for x in c) for c in chambers]
     rays = _loop_rays(dia)
     for d in dirs:
@@ -364,35 +369,30 @@ def path_ordered_product(chambers, dia, order=None):
         seg.sort(key=lambda t: (t[0], dia.walls[t[2]].n0))
         crossings.extend((i, _cross_sign(u, dia.walls[i], dia))
                          for _, u, i in seg)
-    table = {}
-    for j in range(dia.dim):
-        base = tuple(1 if i == j else 0 for i in range(dia.dim))
-        poly = LaurentPolynomial.monomial(base)
-        for i, sign in crossings:
-            poly = _apply_wall(poly, dia.walls[i], sign, dia, base)
-        table[j] = poly
-    return table
+    return crossings
 
 
-def _loop_apply(dia, base_exp, loop_dirs):
-    """Full path-ordered product applied to the single monomial z^base."""
-    dirs = [tuple(Fraction(x) for x in c) for c in loop_dirs]
-    rays = _loop_rays(dia)
-    poly = LaurentPolynomial.monomial(base_exp)
-    for a, b in zip(dirs, dirs[1:]):
-        key_b = _rel_angle_key(a, b)
-        if key_b is None:
-            raise SingularPath("consecutive loop directions coincide")
-        seg = []
-        for u, i in rays:
-            k = _rel_angle_key(a, u)
-            if k is not None and k < key_b:
-                seg.append((k, u, i))
-        seg.sort(key=lambda t: (t[0], dia.walls[t[2]].n0))
-        for _, u, i in seg:
-            sign = _cross_sign(u, dia.walls[i], dia)
-            poly = _apply_wall(poly, dia.walls[i], sign, dia, base_exp)
+def _apply_crossings(dia, crossings, base):
+    """The crossings applied in order to the monomial z^base."""
+    poly = LaurentPolynomial.monomial(base)
+    for i, sign in crossings:
+        poly = _apply_wall(poly, dia.walls[i], sign, dia, base)
     return poly
+
+
+def path_ordered_product(chambers, dia, order=None):
+    """Composite wall-crossing automorphism along a path through the given
+    chamber directions (2d shadow), as images of the coordinate monomials.
+
+    The path sweeps counterclockwise from each direction to the next.
+    Raises SingularPath if a chamber direction lies on a wall.
+    """
+    dia = dia.at_order(order)
+    crossings = _crossings(dia, chambers)
+    return {j: _apply_crossings(dia, crossings,
+                                tuple(1 if i == j else 0
+                                      for i in range(dia.dim)))
+            for j in range(dia.dim)}
 
 
 def _generic_loop_dirs(dia):
@@ -417,12 +417,11 @@ def _generic_loop_dirs(dia):
 def loop_defect(dia, order=None):
     """Degree-graded defect of the full loop on a generic probe monomial:
     {offset: coefficient} with the identity part removed."""
-    if order is not None and order != dia.order:
-        dia = ScatteringDiagram(dia.walls, dia.dim, order, dia.unfrozen,
-                                dia.fd, dia.p)
+    dia = dia.at_order(order)
     k1, k2 = dia.unfrozen
     base = tuple(1 if i in (k1, k2) else 0 for i in range(dia.dim))
-    poly = _loop_apply(dia, base, _generic_loop_dirs(dia))
+    poly = _apply_crossings(dia, _crossings(dia, _generic_loop_dirs(dia)),
+                            base)
     out = {}
     for e, c in poly.coeffs.items():
         off = tuple(a - b for a, b in zip(e, base))
@@ -436,9 +435,7 @@ def loop_defect(dia, order=None):
 def is_consistent(dia, order=None):
     """Loop path-ordered product equals the identity on all generators up
     to the truncation order."""
-    if order is not None and order != dia.order:
-        dia = ScatteringDiagram(dia.walls, dia.dim, order, dia.unfrozen,
-                                dia.fd, dia.p)
+    dia = dia.at_order(order)
     if len(dia.unfrozen) <= 1:
         return True
     loop = _generic_loop_dirs(dia)
@@ -542,11 +539,6 @@ class BrokenLine:
             times.append(dt)
         return times
 
-    def total_bend_degree(self, dia):
-        off = tuple(a - b for a, b in
-                    zip(self.final()[1], self.initial_exponent))
-        return dia.depth_of_offset(off) if any(off) else 0
-
     def __repr__(self):
         return "BrokenLine(%r -> %r at %r)" % (
             self.initial_exponent, self.final(), self.endpoint)
@@ -581,8 +573,7 @@ def _segment_crossings(dia, x, v):
 
 def _offset_candidates(dia, bound):
     """All offsets sum j_w g_w with total degree <= bound, with degrees."""
-    items = [(w.g, w.deg, max((k for k, c in w.series.items()), default=0))
-             for w in dia.walls]
+    items = [(w.g, w.deg, w.max_k()) for w in dia.walls]
     offs = {(0,) * dia.dim: 0}
     for g, deg, kmax in items:
         if kmax == 0:
@@ -674,6 +665,22 @@ def _sample_basepoint(dia, attempt):
     return tuple(x)
 
 
+def _at_generic_point(candidate, compute):
+    """compute(x) at the first of the points candidate(0), candidate(1),
+    ... (at most _ATTEMPTS of them) where it raises no NonGenericEndpoint;
+    candidate returns None for a point to skip.  Raises
+    NonGenericEndpoint when the candidates run out."""
+    for attempt in range(_ATTEMPTS):
+        x = candidate(attempt)
+        if x is None:
+            continue
+        try:
+            return compute(x)
+        except NonGenericEndpoint:
+            continue
+    raise NonGenericEndpoint("no generic endpoint found")
+
+
 def theta_function(dia, m, basepoint=None, degree_bound=None):
     """Theta function with label m: sum of final monomials of all broken
     lines ending at a generic basepoint interior to the positive chamber.
@@ -683,28 +690,26 @@ def theta_function(dia, m, basepoint=None, degree_bound=None):
     m = tuple(int(x) for x in m)
     if not any(m):
         return LaurentPolynomial.one(dia.dim), True
-    attempts = 32 if basepoint is None else 1
-    last = None
-    for attempt in range(attempts):
-        x0 = vec(basepoint) if basepoint is not None else \
-            _sample_basepoint(dia, attempt)
-        if basepoint is None and dia.on_wall(x0):
-            continue
-        if any(x0[k] <= 0 for k in dia.unfrozen):
-            raise NonGenericEndpoint("basepoint must be interior to C+")
-        try:
-            lines, exact = enumerate_broken_lines(dia, m, x0, degree_bound)
-        except NonGenericEndpoint as exc:
-            last = exc
-            if basepoint is not None:
-                raise
-            continue
+
+    def at(x0):
+        lines, exact = enumerate_broken_lines(dia, m, x0, degree_bound)
         poly = LaurentPolynomial.zero(dia.dim)
         for ln in lines:
             c, e = ln.final()
             poly = poly + LaurentPolynomial.monomial(e, c)
         return poly, exact
-    raise last or NonGenericEndpoint("no generic basepoint found")
+
+    if basepoint is not None:
+        x0 = vec(basepoint)
+        if any(x0[k] <= 0 for k in dia.unfrozen):
+            raise NonGenericEndpoint("basepoint must be interior to C+")
+        return at(x0)
+
+    def sample(attempt):
+        x0 = _sample_basepoint(dia, attempt)
+        return None if dia.on_wall(x0) else x0
+
+    return _at_generic_point(sample, at)
 
 
 def theta_on_x(dia_prin, dn, p, degree_bound=None):
@@ -744,15 +749,10 @@ def structure_constant(dia, p_lab, q_lab, r_lab, degree_bound=None):
     if not any(q_lab):
         return Fraction(1) if p_lab == r_lab else Fraction(0)
     bound = degree_bound if degree_bound is not None else dia.order
-    for attempt in range(32):
-        z = _near_point(dia, r_lab, attempt)
-        if z is None:
-            continue
-        try:
-            lines_p, ex_p = enumerate_broken_lines(dia, p_lab, z, bound)
-            lines_q, ex_q = enumerate_broken_lines(dia, q_lab, z, bound)
-        except NonGenericEndpoint:
-            continue
+
+    def at(z):
+        lines_p, ex_p = enumerate_broken_lines(dia, p_lab, z, bound)
+        lines_q, ex_q = enumerate_broken_lines(dia, q_lab, z, bound)
         if not (ex_p and ex_q):
             raise Truncated("degree bound reached while pairing broken lines")
         total = Fraction(0)
@@ -763,7 +763,9 @@ def structure_constant(dia, p_lab, q_lab, r_lab, degree_bound=None):
                 if tuple(a + b for a, b in zip(f1, f2)) == r_lab:
                     total += c1 * c2
         return total
-    raise NonGenericEndpoint("no generic endpoint near r found")
+
+    return _at_generic_point(lambda attempt: _near_point(dia, r_lab, attempt),
+                             at)
 
 
 def _near_point(dia, r, attempt):
@@ -792,18 +794,6 @@ def _near_point(dia, r, attempt):
         if ok and not dia.on_wall(z):
             return z
     return None
-
-
-def build_theta_table(dia, labels, degree_bound=None):
-    """Theta functions for a family of labels, as a plain dict; every entry
-    is checked to be exact at the requested bound."""
-    table = {}
-    for lab in labels:
-        poly, exact = theta_function(dia, tuple(lab), degree_bound=degree_bound)
-        if not exact:
-            raise Truncated("theta table entry %r hit the degree bound" % (lab,))
-        table[tuple(int(x) for x in lab)] = poly
-    return table
 
 
 class LazyThetaTable:

@@ -15,7 +15,6 @@ Coordinate systems used throughout the library:
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -167,10 +166,6 @@ class Seed:
         return "Seed(word=%r)" % (self.word,)
 
 
-def mutate_seed(s, k):
-    return s.mutate(k)
-
-
 def build_principal(fd):
     """Principal-coefficient fixed data: index set doubled, skew form
     {(n1,m1),(n2,m2)} = {n1,n2} + <n1,m2> - <n2,m1>, multipliers repeated,
@@ -283,15 +278,18 @@ def seed_to_json(s):
 
 
 def seed_from_json(data):
-    fd = FixedData(
-        data["n"],
-        data["unfrozen"],
-        Mat([[Fraction(x) for x in row] for row in data["lambda"]]),
-        data["d"],
-    )
-    return fd.seed(tuple(data["word"]))
-
-
-def load_seed(path):
-    with open(path) as fh:
-        return seed_from_json(json.load(fh))
+    """Seed from its JSON form; missing or malformed fields are BadParams
+    errors."""
+    try:
+        fd = FixedData(
+            data["n"],
+            data["unfrozen"],
+            Mat([[Fraction(x) for x in row] for row in data["lambda"]]),
+            data["d"],
+        )
+        word = tuple(data["word"])
+    except KeyError as exc:
+        raise BadParams("seed JSON is missing %s" % (exc,))
+    except (TypeError, ValueError) as exc:
+        raise BadParams("malformed seed JSON: %s" % (exc,))
+    return fd.seed(word)

@@ -72,29 +72,17 @@ def _edge_data(s, k, flavor):
     return phi, inc
 
 
-def trop_mutate_A(pt, k, s):
-    """Tropicalized A-mutation: n + [<v_k, n>]_±(-d_k e_k), retagged.
+def trop_mutate(pt, k, s, flavor):
+    """Tropicalized mutation, retagged: for flavor A,
+    n + [<v_k, n>]_±(-d_k e_k); for flavor X, m + [<d_k e_k, m>]_± v_k.
     Applying it again at k from the mutated seed transports back."""
     if k not in s.fixed.unfrozen:
         raise FrozenIndex("frozen direction %r" % (k,))
     if pt.word != s.word:
         raise BadParams("point tagged with a different seed")
-    phi, inc = _edge_data(s, k, "A")
+    phi, inc = _edge_data(s, k, flavor)
     t = _bracket(vdot(phi, pt.coords), pt.conv)
     coords = tuple(c + t * i for c, i in zip(pt.coords, inc))
-    return TropicalPoint(s.mutate(k).word, coords, pt.conv)
-
-
-def trop_mutate_X(pt, k, s):
-    """Tropicalized X-mutation: m + [<d_k e_k, m>]_± v_k, retagged.
-    Applying it again at k from the mutated seed transports back."""
-    if k not in s.fixed.unfrozen:
-        raise FrozenIndex("frozen direction %r" % (k,))
-    if pt.word != s.word:
-        raise BadParams("point tagged with a different seed")
-    phi, inc = _edge_data(s, k, "X")
-    t = _bracket(vdot(phi, pt.coords), pt.conv)
-    coords = tuple(c + t * x for c, x in zip(pt.coords, inc))
     return TropicalPoint(s.mutate(k).word, coords, pt.conv)
 
 
@@ -181,8 +169,7 @@ class ElementaryStep:
 
 
 class PLMap:
-    """Composable sequence of elementary tropical mutations (or a single
-    linear map)."""
+    """Composable sequence of elementary tropical mutations."""
 
     def __init__(self, steps):
         self.steps = list(steps)
@@ -203,19 +190,10 @@ class PLMap:
             cur = cur.mutate(k)
         return PLMap(steps)
 
-    @staticmethod
-    def linear(mat):
-        m = PLMap([])
-        m.steps = [("linear", mat)]
-        return m
-
     def apply(self, x):
         y = vec(x)
         for st in self.steps:
-            if isinstance(st, tuple):
-                y = st[1] * y
-            else:
-                y = st.apply(y)
+            y = st.apply(y)
         return y
 
 
@@ -246,11 +224,6 @@ def apply_pl_to_polytope(plmap, p):
     flags = []
     cur = p
     for st in plmap.steps:
-        if isinstance(st, tuple):
-            mat = st[1]
-            cur = convex_hull([mat * vec(v) for v in cur.vertices])
-            flags.append(True)
-            continue
         pieces = []
         for side in (1, -1):
             half = _halve(cur, st.phi, side)

@@ -36,6 +36,40 @@ def test_seed_mutate_frozen_is_domain_error(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "frozen-index"
 
 
+def _bad_params(capsys, *argv):
+    rc, out, err = run_cli(capsys, *argv)
+    return rc == 1 and out == "" and \
+        json.loads(err)["error"]["code"] == "bad-params"
+
+
+def test_seed_mutate_missing_file_is_domain_error(tmp_path, capsys):
+    assert _bad_params(capsys, "seed", "mutate", "--file",
+                       str(tmp_path / "absent.json"), "--k", "0")
+
+
+def test_seed_mutate_non_json_is_domain_error(tmp_path, capsys):
+    f = tmp_path / "s.json"
+    f.write_text("n = 2")
+    assert _bad_params(capsys, "seed", "mutate", "--file", str(f),
+                       "--k", "0")
+
+
+def test_seed_mutate_missing_unfrozen_is_domain_error(tmp_path, capsys):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"n": 2, "lambda": [["0", "1"], ["-1", "0"]],
+                             "d": [1, 1], "word": []}))
+    assert _bad_params(capsys, "seed", "mutate", "--file", str(f),
+                       "--k", "0")
+
+
+def test_trop_map_polytope_without_vertices_is_domain_error(tmp_path,
+                                                             capsys):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]]}))
+    assert _bad_params(capsys, "trop", "map", "--seed-file", RUNNING_SEED,
+                       "--word", "0", "--polytope", str(f))
+
+
 def test_usage_error_exit_code(capsys):
     rc, out, err = run_cli(capsys, "seed", "mutate")
     assert rc == 2

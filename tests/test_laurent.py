@@ -4,8 +4,8 @@ import pytest
 
 from ctrop.errors import EmptyInput, NotInSpan, NotLaurent
 from ctrop.laurent import (LaurentPolynomial, PointedDecomposition,
-                           a_pullback, c_valuation, g_valuation, is_pointed,
-                           theta_expand, transport, x_pullback)
+                           c_valuation, g_valuation, is_pointed, theta_expand,
+                           transport)
 from ctrop.linalg import Mat, TotalOrder
 from ctrop.scattering import (LazyThetaTable, complete_rank2, initial_diagram,
                               theta_on_x)
@@ -23,9 +23,10 @@ def test_a_pullback_examples():
     # z^{-f_1} on the mutated chart: own coordinates there are (-1, 0)·F^{-1};
     # the clean statements are through transport below; here the monomial
     # with zero pairing and the constant
-    assert a_pullback(s, 0, mono((0, 1))) == mono((0, 1))
+    s1 = s.mutate(0)
+    assert transport(mono((0, 1)), s1, s, "A") == mono((0, 1))
     one = LaurentPolynomial.one(2)
-    assert a_pullback(s, 0, one) == one
+    assert transport(one, s1, s, "A") == one
 
 
 def test_transport_examples():
@@ -79,13 +80,14 @@ def test_transport_matches_exchange_recursion():
 
 def test_x_pullback_examples():
     s = RUNNING.initial_seed()
-    res = x_pullback(s, 0, mono((0, 1)))
+    s1 = s.mutate(0)
+    res = transport(mono((0, 1)), s1, s, "X")
     assert res == LaurentPolynomial({(0, 1): 1, (1, 1): 1}, 2)
     # the abstract monomial z^{e_1} is fixed: its coordinates on the
     # mutated chart are (-1, 0) since e_{1;s'} = -e_1
-    assert x_pullback(s, 0, mono((-1, 0))) == mono((1, 0))
+    assert transport(mono((-1, 0)), s1, s, "X") == mono((1, 0))
     one = LaurentPolynomial.one(2)
-    assert x_pullback(s, 0, one) == one
+    assert transport(one, s1, s, "X") == one
 
 
 def test_not_laurent():
@@ -112,13 +114,12 @@ def test_is_pointed():
 
 def test_g_valuation():
     s = A2.initial_seed()
-    p = ensemble_map(A2)
     d = PointedDecomposition([(1, (2, 3))])
-    assert g_valuation(d, s, p) == (2, 3)
+    assert g_valuation(d, s) == (2, 3)
     d2 = PointedDecomposition([(1, (-1, 0)), (5, (-1, 1))])
-    assert g_valuation(d2, s, p) == (-1, 0)
+    assert g_valuation(d2, s) == (-1, 0)
     with pytest.raises(EmptyInput):
-        g_valuation(PointedDecomposition([]), s, p)
+        g_valuation(PointedDecomposition([]), s)
 
 
 def test_c_valuation():

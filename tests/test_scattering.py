@@ -191,3 +191,18 @@ def test_gr36_two_nonzero_structure_constants():
             nonzero[r] = alpha
     bend = tuple(a + b for a, b in zip(pq, dia.walls[2].g))
     assert nonzero == {pq: 1, bend: 1}
+
+
+def test_generic_point_retry_gives_up_loudly():
+    # the shared basepoint/endpoint retry skips None candidates, retries
+    # on NonGenericEndpoint and raises it after 32 attempts
+    from ctrop.scattering import _at_generic_point
+    tried = []
+
+    def compute(x):
+        tried.append(x)
+        raise NonGenericEndpoint("path through a joint")
+
+    with pytest.raises(NonGenericEndpoint, match="no generic endpoint"):
+        _at_generic_point(lambda a: a if a % 2 else None, compute)
+    assert tried == list(range(1, 32, 2))

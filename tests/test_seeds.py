@@ -7,7 +7,7 @@ import pytest
 from ctrop.errors import FrozenIndex
 from ctrop.linalg import Mat
 from ctrop.seeds import (FixedData, build_principal, ensemble_map,
-                         langlands_dual, mutate_seed, optimized_check,
+                         langlands_dual, optimized_check,
                          principal_ensemble_map, seed_from_json, seed_to_json)
 
 A2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 1))
@@ -21,7 +21,7 @@ def test_epsilon():
 
 def test_mutate_a2():
     s = A2.initial_seed()
-    s1 = mutate_seed(s, 0)
+    s1 = s.mutate(0)
     assert [[int(x) for x in r] for r in s1.eps.rows] == [[0, -1], [1, 0]]
 
 

@@ -9,8 +9,8 @@ from ctrop.linalg import Mat
 from ctrop.polytopes import convex_hull
 from ctrop.seeds import FixedData, ensemble_map
 from ctrop.trop import (PLMap, TropicalPoint, apply_pl_to_polytope,
-                        i_involution, trop_mutate_A, trop_mutate_X,
-                        tropicalize, weight_fiber)
+                        i_involution, trop_mutate, tropicalize,
+                        weight_fiber)
 
 A2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 1))
 RUNNING = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 2))
@@ -19,28 +19,29 @@ RUNNING = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 2))
 def test_trop_mutate_A_examples():
     s = A2.initial_seed()
     z = TropicalPoint((), (0, 0), "T")
-    assert trop_mutate_A(z, 0, s).coords == (0, 0)
+    assert trop_mutate(z, 0, s, "A").coords == (0, 0)
     pt = TropicalPoint((), (0, 1), "T")
-    assert trop_mutate_A(pt, 0, s).coords == (-1, 1)
+    assert trop_mutate(pt, 0, s, "A").coords == (-1, 1)
     pt2 = TropicalPoint((), (1, 0), "T")
-    assert trop_mutate_A(pt2, 0, s).coords == (1, 0)
+    assert trop_mutate(pt2, 0, s, "A").coords == (1, 0)
 
 
 def test_trop_mutate_X_examples():
     s = RUNNING.initial_seed()
     z = TropicalPoint((), (0, 0), "T")
-    assert trop_mutate_X(z, 0, s).coords == (0, 0)
+    assert trop_mutate(z, 0, s, "X").coords == (0, 0)
     pt = TropicalPoint((), (1, 0), "T")
-    out = trop_mutate_X(pt, 0, s)
+    out = trop_mutate(pt, 0, s, "X")
     assert out.coords == (1, 2)  # pt + v_1 with v_1 = (0, 2)
-    back = trop_mutate_X(out, 0, s.mutate(0))
+    back = trop_mutate(out, 0, s.mutate(0), "X")
     assert back.coords == pt.coords and back.word == ()
 
 
 def test_trop_mutate_frozen():
     fd = FixedData(2, {0}, Mat([[0, 1], [-1, 0]]), (1, 1))
     with pytest.raises(FrozenIndex):
-        trop_mutate_A(TropicalPoint((), (0, 0), "T"), 1, fd.initial_seed())
+        trop_mutate(TropicalPoint((), (0, 0), "T"), 1, fd.initial_seed(),
+                    "A")
 
 
 def test_trop_bijection_fuzz():
@@ -51,8 +52,9 @@ def test_trop_bijection_fuzz():
         c = (rng.randint(-50, 50), rng.randint(-50, 50))
         for conv in ("T", "t"):
             pt = TropicalPoint((), c, conv)
-            assert trop_mutate_X(trop_mutate_X(pt, 0, s), 0, s1).coords == c
-            assert trop_mutate_A(trop_mutate_A(pt, 0, s), 0, s1).coords == c
+            for flavor in ("X", "A"):
+                there = trop_mutate(pt, 0, s, flavor)
+                assert trop_mutate(there, 0, s1, flavor).coords == c
 
 
 def test_i_involution():
