@@ -16,7 +16,7 @@ from .grassmannian import (GrData, cluster_bfs_g_vectors, gt_vector,
                            hook_g_table, hook_g_vector, homogenized_g,
                            no_body, rectangles_seed, verify_val_gv)
 from .laurent import LaurentPolynomial, g_valuation, theta_expand
-from .linalg import Mat, TotalOrder, vdot, vec
+from .linalg import Mat, vdot, vec
 from .polytopes import (convex_hull, lattice_points, slice_cone,
                         superpotential_cone)
 from .scattering import (ScatteringDiagram, Wall, complete_rank2,
@@ -195,7 +195,7 @@ def criterion_5():
         ql = rng.choice(box)
         prod = table[pl] * table[ql]
         expansion = theta_expand(prod, s, table, max_rounds=500)
-        order = TotalOrder.refining(s.pstar_cols_unfrozen())
+        order = s.refining_order()
         lead = g_valuation(expansion, s, order=order)
         want = tuple(a + b for a, b in zip(pl, ql))
         if lead != want:

@@ -42,11 +42,38 @@ def _load_json(path):
         raise BadParams("%s is not valid JSON: %s" % (path, exc))
 
 
+def _points(data):
+    """Rational points of one common length; a ragged or malformed list
+    is a BadParams error."""
+    try:
+        pts = [[Fraction(x) for x in v] for v in data]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadParams("malformed point list: %s" % (exc,))
+    if len({len(v) for v in pts}) > 1:
+        raise BadParams("points must all have the same length")
+    return pts
+
+
+def _hyperplanes(data, rhs, default=None):
+    """(normal, right-hand side) pairs from a JSON list of rows with a
+    "normal" and an `rhs` entry (`default` for a row without one, if
+    given); a missing field or a malformed number is a BadParams error."""
+    try:
+        return [([Fraction(x) for x in row["normal"]],
+                 Fraction(row[rhs] if default is None
+                          else row.get(rhs, default)))
+                for row in data]
+    except KeyError as exc:
+        raise BadParams("each row needs %s" % (exc,))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadParams("malformed row: %s" % (exc,))
+
+
 def _load_polytope(path):
     data = _load_json(path)
     if not isinstance(data, dict) or "vertices" not in data:
         raise BadParams("polytope JSON needs a \"vertices\" list")
-    return convex_hull([[Fraction(x) for x in v] for v in data["vertices"]])
+    return convex_hull(_points(data["vertices"]))
 
 
 def _render(value, as_float):
@@ -126,20 +153,18 @@ def cmd_trop_map(args):
 
 
 def cmd_poly_hull(args):
-    pts = [[Fraction(x) for x in v] for v in _load_json(args.points)]
+    pts = _points(_load_json(args.points))
     _emit({"polytope": convex_hull(pts).to_json()}, args)
 
 
 def cmd_poly_slice(args):
-    cdata = _load_json(args.cone)
-    cone = Cone([([Fraction(x) for x in row["normal"]],
-                  Fraction(row.get("offset", 0))) for row in cdata],
-                len(cdata[0]["normal"]))
-    fdata = _load_json(args.fiber)
+    halfspaces = _hyperplanes(_load_json(args.cone), "offset", 0)
+    if not halfspaces:
+        raise BadParams("cone JSON needs at least one row")
+    cone = Cone(halfspaces, len(halfspaces[0][0]))
     from .polytopes import AffineSubspace
-    fiber = AffineSubspace(
-        [([Fraction(x) for x in row["normal"]], Fraction(row["value"]))
-         for row in fdata], cone.dim)
+    fiber = AffineSubspace(_hyperplanes(_load_json(args.fiber), "value"),
+                           cone.dim)
     _emit({"polytope": slice_cone(cone, fiber).to_json()}, args)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import EmptyInput, NotInSpan, NotLaurent, RankError
+from .errors import BadParams, EmptyInput, NotInSpan, NotLaurent, RankError
 from .linalg import LESS, Mat, TotalOrder, dominance_compare, vec
 
 
@@ -169,8 +169,19 @@ class LaurentPolynomial:
 
     @staticmethod
     def from_json(data, dim=None):
-        return LaurentPolynomial(
-            {tuple(t["exp"]): Fraction(t["coef"]) for t in data}, dim)
+        """Polynomial from its list of {"exp", "coef"} terms; a missing
+        field, a malformed value or an exponent of another length than
+        `dim` is a BadParams error."""
+        try:
+            coeffs = {tuple(int(x) for x in t["exp"]): Fraction(t["coef"])
+                      for t in data}
+        except KeyError as exc:
+            raise BadParams("Laurent term is missing %s" % (exc,))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise BadParams("malformed Laurent term: %s" % (exc,))
+        if dim is not None and any(len(e) != dim for e in coeffs):
+            raise BadParams("Laurent exponents must have length %d" % dim)
+        return LaurentPolynomial(coeffs, dim)
 
     def __repr__(self):
         return "LaurentPolynomial(%r)" % dict(self.terms())
@@ -187,11 +198,12 @@ def _skew_pair(lam, a, b):
     return sum(x * y for x, y in zip(vec(a), la))
 
 
-def _chart_step(s, k, f, flavor, forward):
-    """One chart transition along the edge s -> mutate(s, k).
+def _chart_step(s, s2, f, flavor, forward):
+    """One chart transition along the edge s -> s2 = mutate(s, k), where k
+    is the last letter of the word of s2.
 
-    With forward=False, f lives on the chart of mutate(s, k) and is pulled
-    back to the chart of s; forward=True is the inverse.  Exponents are in
+    With forward=False, f lives on the chart of s2 and is pulled back to
+    the chart of s; forward=True is the inverse.  Exponents are in
     the own coordinates of the source and target seeds.  Both flavors read
     the same mutation formula z^m -> z^m (1 + z^b)^(-/+ <d_k e_k, m>) in
     initial coordinates: for A, m in M° (frame f_{i;s}) and b = v_k; for X,
@@ -199,7 +211,7 @@ def _chart_step(s, k, f, flavor, forward):
     The result is divided through by the common negative power and checked
     for exactness.
     """
-    s2 = s.mutate(k)
+    k = s2.word[-1]
     src, dst = (s, s2) if forward else (s2, s)
     sign = 1 if forward else -1
     if flavor == "A":
@@ -235,26 +247,18 @@ def _chart_step(s, k, f, flavor, forward):
     return numer.apply_matrix(to_own)
 
 
-def _connecting_steps(frm, to):
-    """Edge plan carrying a chart function from `frm` to `to` through the
-    deepest common ancestor; `down` edges are pulled back (toward the
-    ancestor), `up` edges pushed forward."""
-    wf, wt = frm.word, to.word
-    i = 0
-    while i < len(wf) and i < len(wt) and wf[i] == wt[i]:
-        i += 1
-    anc = frm.fixed.seed(wf[:i])
-    down = []
-    s = anc
-    for k in wf[i:]:
-        down.append((s, k))
-        s = s.mutate(k)
-    up = []
-    s = anc
-    for k in wt[i:]:
-        up.append((s, k))
-        s = s.mutate(k)
-    return down, up
+def _edges_to_depth(s, depth):
+    """The edges (parent, child) from s back to its ancestor with a word
+    of length `depth`, the edge at s first.  They are taken from the seed's
+    own parent chain; a seed built without a parent falls back to
+    rebuilding its parent from the initial seed."""
+    edges = []
+    while len(s.word) > depth:
+        parent = s.parent if s.parent is not None else \
+            s.fixed.seed(s.word[:-1])
+        edges.append((parent, s))
+        s = parent
+    return edges
 
 
 def transport(f, frm, to, flavor="A"):
@@ -262,15 +266,22 @@ def transport(f, frm, to, flavor="A"):
 
     Both seeds must be reachable from the same initial seed; the function
     is carried through the deepest common ancestor by composing single-step
-    pullbacks and their inverses.  Raises NotLaurent if any step leaves the
-    Laurent ring.
+    pullbacks and their inverses.  Raises BadParams if the seeds have
+    different fixed data and NotLaurent if any step leaves the Laurent
+    ring.
     """
-    down, up = _connecting_steps(frm, to)
+    if frm.fixed != to.fixed:
+        raise BadParams("cannot transport between seeds of different "
+                        "fixed data")
+    wf, wt = frm.word, to.word
+    i = 0
+    while i < len(wf) and i < len(wt) and wf[i] == wt[i]:
+        i += 1
     g = f
-    for s, k in reversed(down):
-        g = _chart_step(s, k, g, flavor, forward=False)
-    for s, k in up:
-        g = _chart_step(s, k, g, flavor, forward=True)
+    for s, s2 in _edges_to_depth(frm, i):
+        g = _chart_step(s, s2, g, flavor, forward=False)
+    for s, s2 in reversed(_edges_to_depth(to, i)):
+        g = _chart_step(s, s2, g, flavor, forward=True)
     return g
 
 
@@ -315,7 +326,7 @@ def is_pointed(f, s, p=None):
     cols = s.pstar_cols_unfrozen()
     if cols.rank() != cols.ncols:
         raise RankError("pointedness needs full-rank p*_1")
-    order = TotalOrder.refining(cols)
+    order = s.refining_order()
     exps = list(f.coeffs)
     m0 = order.min(exps)
     if f.coeffs[m0] != 1:
@@ -334,7 +345,7 @@ def g_valuation(decomp, s, order=None):
     if len(decomp) == 0:
         raise EmptyInput("empty decomposition")
     if order is None:
-        order = TotalOrder.refining(s.pstar_cols_unfrozen())
+        order = s.refining_order()
     return order.min(decomp.labels())
 
 
@@ -355,8 +366,7 @@ def theta_expand(f, s, theta_table, max_rounds=None):
     the residual.  Raises NotInSpan if a needed label is missing or the
     iteration bound is exceeded.
     """
-    cols = s.pstar_cols_unfrozen()
-    order = TotalOrder.refining(cols)
+    order = s.refining_order()
     bound = max_rounds if max_rounds is not None else \
         10 * max(10, len(theta_table))
     residual = f

@@ -63,9 +63,13 @@ def clear_denominators(a):
 
 
 class Mat:
-    """Dense exact matrix over the rationals."""
+    """Dense exact matrix over the rationals.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    A Mat is immutable, so its reduced echelon form and its inverse are
+    computed on first use and kept in slots of their own.
+    """
+
+    __slots__ = ("rows", "nrows", "ncols", "_rref", "_inverse")
 
     def __init__(self, rows):
         self.rows = tuple(vec(r) for r in rows)
@@ -74,6 +78,8 @@ class Mat:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix")
+        self._rref = None
+        self._inverse = None
 
     @staticmethod
     def identity(n):
@@ -129,7 +135,18 @@ class Mat:
         return all(Fraction(x).denominator == 1 for r in self.rows for x in r)
 
     def rref(self):
-        """Reduced row echelon form; returns (list of rows, pivot columns)."""
+        """Reduced row echelon form; returns (list of rows, pivot columns).
+
+        The lists are fresh on every call; the form itself is computed once
+        per matrix."""
+        if self._rref is None:
+            rows, pivots = self._eliminate()
+            self._rref = tuple(tuple(r) for r in rows), tuple(pivots)
+            return rows, pivots
+        rows, pivots = self._rref
+        return [list(r) for r in rows], list(pivots)
+
+    def _eliminate(self):
         rows = [list(r) for r in self.rows]
         pivots = []
         pr = 0
@@ -154,12 +171,19 @@ class Mat:
                 break
         return rows, pivots
 
+    def _echelon(self):
+        """The stored (rows, pivots) of the reduced echelon form, as
+        tuples; the first call eliminates through `rref`."""
+        if self._rref is None:
+            self.rref()
+        return self._rref
+
     def rank(self):
-        return len(self.rref()[1])
+        return len(self._echelon()[1])
 
     def kernel(self):
         """Basis of the right kernel, as primitive integer vectors."""
-        rows, pivots = self.rref()
+        rows, pivots = self._echelon()
         free = [j for j in range(self.ncols) if j not in pivots]
         basis = []
         for fc in free:
@@ -172,8 +196,11 @@ class Mat:
 
     def solve(self, b):
         """One exact solution x of self @ x = b, or None if inconsistent."""
+        if len(b) != self.nrows:
+            raise ValueError("right-hand side has %d entries for %d rows"
+                             % (len(b), self.nrows))
         aug = Mat([list(r) + [bv] for r, bv in zip(self.rows, b)])
-        rows, pivots = aug.rref()
+        rows, pivots = aug._echelon()
         if self.ncols in pivots:
             return None
         x = [Fraction(0)] * self.ncols
@@ -182,15 +209,17 @@ class Mat:
         return tuple(x)
 
     def inverse(self):
-        if self.nrows != self.ncols:
-            raise RankError("not square")
-        n = self.nrows
-        aug = Mat([list(r) + [1 if i == j else 0 for j in range(n)]
-                   for i, r in enumerate(self.rows)])
-        rows, pivots = aug.rref()
-        if pivots != list(range(n)):
-            raise RankError("singular matrix")
-        return Mat([r[n:] for r in rows[:n]])
+        if self._inverse is None:
+            if self.nrows != self.ncols:
+                raise RankError("not square")
+            n = self.nrows
+            aug = Mat([list(r) + [1 if i == j else 0 for j in range(n)]
+                       for i, r in enumerate(self.rows)])
+            rows, pivots = aug._echelon()
+            if pivots != tuple(range(n)):
+                raise RankError("singular matrix")
+            self._inverse = Mat([r[n:] for r in rows[:n]])
+        return self._inverse
 
     def det(self):
         if self.nrows != self.ncols:

@@ -592,11 +592,21 @@ def _offset_candidates(dia, bound):
     return offs
 
 
+def _label(dia, m):
+    """A theta label as an integer tuple; a label whose length differs
+    from the diagram dimension is a BadParams error."""
+    m = tuple(int(x) for x in m)
+    if len(m) != dia.dim:
+        raise BadParams("label %r has %d entries; the diagram has "
+                        "dimension %d" % (m, len(m), dia.dim))
+    return m
+
+
 def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
     """All generic broken lines with the given initial exponent and
     endpoint, bending depth at most degree_bound.  Returns (lines,
     exact) where exact is False when a bend was pruned by the bound."""
-    m = tuple(int(x) for x in m)
+    m = _label(dia, m)
     if not any(m):
         raise BadParams("initial exponent must be nonzero")
     bound = degree_bound if degree_bound is not None else dia.order
@@ -687,7 +697,7 @@ def theta_function(dia, m, basepoint=None, degree_bound=None):
 
     Returns (polynomial, exact flag).  theta_0 = 1 by definition.
     """
-    m = tuple(int(x) for x in m)
+    m = _label(dia, m)
     if not any(m):
         return LaurentPolynomial.one(dia.dim), True
 
@@ -741,9 +751,9 @@ def theta_on_x(dia_prin, dn, p, degree_bound=None):
 def structure_constant(dia, p_lab, q_lab, r_lab, degree_bound=None):
     """Structure constant alpha(p, q, r) counted by pairs of broken lines
     ending at a generic point adjacent to r."""
-    p_lab = tuple(int(x) for x in p_lab)
-    q_lab = tuple(int(x) for x in q_lab)
-    r_lab = tuple(int(x) for x in r_lab)
+    p_lab = _label(dia, p_lab)
+    q_lab = _label(dia, q_lab)
+    r_lab = _label(dia, r_lab)
     if not any(p_lab):
         return Fraction(1) if q_lab == r_lab else Fraction(0)
     if not any(q_lab):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BadParams, FrozenIndex
-from .linalg import Mat, vdot, vec
+from .linalg import Mat, TotalOrder, vdot, vec
 
 POS = lambda x: x if x > 0 else 0
 
@@ -82,6 +82,9 @@ class Seed:
     (The raw basis formula composed with itself gives the parent seed only
     up to a canonical monomial isomorphism; the reduced-word model quotients
     by it, which is what every identity in this library expects.)
+
+    A seed is immutable: its frame, its p*_1 columns and its refining total
+    order are computed on first use and kept on the seed.
     """
 
     def __init__(self, fixed, word, basis, eps=None, parent=None):
@@ -90,6 +93,9 @@ class Seed:
         self.basis = basis
         self.eps = eps if eps is not None else self._compute_eps()
         self.parent = parent
+        self._f = None
+        self._pstar = None
+        self._order = None
 
     def _compute_eps(self):
         b = self.basis
@@ -146,17 +152,28 @@ class Seed:
 
     def f_matrix(self):
         """Rows are f_{i;s} in initial M°-coordinates: D^-1 B^-T D."""
-        n = self.fixed.n
-        d = self.fixed.d
-        binv_t = self.basis.inverse().transpose()
-        return Mat([[binv_t.rows[i][j] * d[j] / Fraction(d[i])
-                     for j in range(n)] for i in range(n)])
+        if self._f is None:
+            n = self.fixed.n
+            d = self.fixed.d
+            binv_t = self.basis.inverse().transpose()
+            self._f = Mat([[binv_t.rows[i][j] * d[j] / Fraction(d[i])
+                            for j in range(n)] for i in range(n)])
+        return self._f
 
     def pstar_cols_unfrozen(self):
         """Columns p*_1(e_{k;s}) in the seed's own M°-coordinates: these are
         the unfrozen rows of eps, transposed into columns."""
-        ks = sorted(self.fixed.unfrozen)
-        return Mat.from_cols([self.eps.rows[k] for k in ks])
+        if self._pstar is None:
+            ks = sorted(self.fixed.unfrozen)
+            self._pstar = Mat.from_cols([self.eps.rows[k] for k in ks])
+        return self._pstar
+
+    def refining_order(self):
+        """The total order refining the opposite dominance order of this
+        seed (see TotalOrder.refining)."""
+        if self._order is None:
+            self._order = TotalOrder.refining(self.pstar_cols_unfrozen())
+        return self._order
 
     def __eq__(self, other):
         return (isinstance(other, Seed) and self.fixed == other.fixed

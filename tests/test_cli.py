@@ -70,6 +70,67 @@ def test_trop_map_polytope_without_vertices_is_domain_error(tmp_path,
                        "--word", "0", "--polytope", str(f))
 
 
+def test_scatter_theta_label_of_wrong_length_is_domain_error(capsys):
+    # the principal running-example diagram has dimension 4
+    assert _bad_params(capsys, "scatter", "theta", "--fixture",
+                       "running-example", "--label=1,-1", "--principal")
+
+
+def _transport_poly(tmp_path, capsys, terms):
+    f = tmp_path / "poly.json"
+    f.write_text(json.dumps(terms))
+    return _bad_params(capsys, "laurent", "transport", "--seed-file",
+                       RUNNING_SEED, "--to-word", "1", "--poly", str(f))
+
+
+def test_laurent_transport_term_without_exp_is_domain_error(tmp_path,
+                                                            capsys):
+    assert _transport_poly(tmp_path, capsys, [{"coef": "1"}])
+
+
+def test_laurent_transport_term_without_coef_is_domain_error(tmp_path,
+                                                             capsys):
+    assert _transport_poly(tmp_path, capsys, [{"exp": [1, 0]}])
+
+
+def test_poly_hull_ragged_points_is_domain_error(tmp_path, capsys):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps([[0, 0], [2, 0, 1], [0, 2], [2, 2]]))
+    assert _bad_params(capsys, "poly", "hull", "--points", str(f))
+
+
+def _slice_argv(tmp_path, cone, fiber):
+    c = tmp_path / "cone.json"
+    c.write_text(json.dumps(cone))
+    f = tmp_path / "fiber.json"
+    f.write_text(json.dumps(fiber))
+    return "poly", "slice", "--cone", str(c), "--fiber", str(f)
+
+
+SLICE_CONE = [{"normal": [1, 0]}, {"normal": [0, 1]}]
+SLICE_FIBER = [{"normal": [1, 1], "value": 2}]
+
+
+def test_poly_slice(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, *_slice_argv(tmp_path, SLICE_CONE,
+                                              SLICE_FIBER))
+    assert rc == 0
+    assert len(json.loads(out)["polytope"]["vertices"]) == 2
+
+
+@pytest.mark.parametrize("cone, fiber", [
+    (SLICE_CONE, [{"normal": [1, 1]}]),
+    (SLICE_CONE, [{"value": 2}]),
+    ([{"offset": 0}], SLICE_FIBER),
+    (SLICE_CONE, [{"normal": [1, 1], "value": "x"}]),
+    ([], SLICE_FIBER),
+], ids=["fiber_without_value", "fiber_without_normal", "cone_without_normal",
+        "malformed_value", "empty_cone"])
+def test_poly_slice_bad_rows_are_domain_errors(tmp_path, capsys, cone,
+                                               fiber):
+    assert _bad_params(capsys, *_slice_argv(tmp_path, cone, fiber))
+
+
 def test_usage_error_exit_code(capsys):
     rc, out, err = run_cli(capsys, "seed", "mutate")
     assert rc == 2

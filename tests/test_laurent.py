@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from ctrop.errors import EmptyInput, NotInSpan, NotLaurent
+from ctrop.errors import (BadParams, DomainError, EmptyInput, NotInSpan,
+                          NotLaurent)
+from ctrop.grassmannian import rectangles_seed
 from ctrop.laurent import (LaurentPolynomial, PointedDecomposition,
                            c_valuation, g_valuation, is_pointed, theta_expand,
                            transport)
 from ctrop.linalg import Mat, TotalOrder
 from ctrop.scattering import (LazyThetaTable, complete_rank2, initial_diagram,
                               theta_on_x)
-from ctrop.seeds import (FixedData, build_principal, ensemble_map,
-                         principal_ensemble_map)
+from ctrop.seeds import (FixedData, Seed, build_principal, ensemble_map,
+                         principal_ensemble_map, seed_from_json, seed_to_json)
 
 A2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 1))
 RUNNING = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 2))
@@ -223,3 +225,90 @@ def test_divide_exact_detects_sliding_nondivisibility():
     # genuine products still divide exactly
     q = LaurentPolynomial({(2, -1): 3, (-1, 4): 5}, 2)
     assert (q * g).divide_exact(g) == q
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reduced_word(rng, letters, length):
+    word = []
+    while len(word) < length:
+        k = rng.choice(letters)
+        if not word or word[-1] != k:
+            word.append(k)
+    return tuple(word)
+
+
+def _one_edge_at_a_time(f, fd, wf, wt, flavor):
+    """transport from fd.seed(wf) to fd.seed(wt) as a chain of one-edge
+    transports through the deepest common ancestor, on fresh seeds."""
+    i = 0
+    while i < min(len(wf), len(wt)) and wf[i] == wt[i]:
+        i += 1
+    path = [wf[:j] for j in range(len(wf), i - 1, -1)] + \
+        [wt[:j] for j in range(i + 1, len(wt) + 1)]
+    for a, b in zip(path, path[1:]):
+        f = transport(f, fd.seed(a), fd.seed(b), flavor)
+    return f
+
+
+def test_transport_between_independent_seeds_gr36():
+    fd, _, _ = rectangles_seed(3, 6)
+    letters = sorted(fd.unfrozen)
+    rng = random.Random(20261018)
+    done = {"A": 0, "X": 0}
+    for trial in range(8):
+        wf = _reduced_word(rng, letters, rng.randint(1, 3))
+        wt = wf[:rng.randint(0, len(wf))] + \
+            _reduced_word(rng, letters, rng.randint(0, 2))
+        wt = tuple(k for j, k in enumerate(wt) if j == 0 or wt[j - 1] != k)
+        exp = tuple(rng.randint(0, 1) for _ in range(fd.n))
+        f = mono(exp)
+        frm = fd.seed(wf)
+        to = fd.seed(wt) if trial % 2 else \
+            seed_from_json(seed_to_json(fd.seed(wt)))
+        for flavor in "AX":
+            for a, b, wa, wb in ((frm, to, wf, wt), (to, frm, wt, wf)):
+                want = _outcome(
+                    lambda: _one_edge_at_a_time(f, fd, wa, wb, flavor))
+                # twice on the same seeds, then on freshly built ones
+                assert _outcome(lambda: transport(f, a, b, flavor)) == want
+                assert _outcome(lambda: transport(f, a, b, flavor)) == want
+                assert _outcome(lambda: transport(
+                    f, fd.seed(wa), fd.seed(wb), flavor)) == want
+                done[flavor] += isinstance(want, LaurentPolynomial)
+    assert done["A"] > 0 and done["X"] > 0
+
+
+def test_transport_from_a_seed_without_parent():
+    fd, s0, _ = rectangles_seed(3, 6)
+    s = fd.seed((4, 5, 4))
+    orphan = Seed(fd, s.word, s.basis)
+    assert orphan.parent is None
+    for v in range(fd.n):
+        f = mono(tuple(1 if i == v else 0 for i in range(fd.n)))
+        assert transport(f, orphan, s0) == transport(f, s, s0)
+        assert transport(f, s0, orphan) == transport(f, s0, s)
+
+
+def test_is_pointed_on_a_used_seed_matches_a_fresh_seed():
+    fd, s0, em = rectangles_seed(3, 6)
+    s = fd.seed((4, 5, 1, 2))
+    for v in range(fd.n):
+        f = transport(mono(tuple(1 if i == v else 0 for i in range(fd.n))),
+                      s, s0)
+        first = is_pointed(f, s0, em)
+        assert first is not None
+        assert is_pointed(f, s0, em) == first
+        assert is_pointed(f, fd.seed(()), em) == first
+
+
+def test_transport_needs_one_fixed_data():
+    with pytest.raises(BadParams):
+        transport(mono((1, 0)), A2.seed((0,)), RUNNING.initial_seed(), "A")
+    with pytest.raises(BadParams):
+        transport(mono((1, 0)), RUNNING.seed((1,)), A2.initial_seed(), "X")

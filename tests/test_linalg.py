@@ -113,3 +113,35 @@ def test_matrix_basics():
     assert m.inverse() * m == Mat.identity(2)
     assert m.rank() == 2
     assert m.solve((3, 2)) == (Fraction(1), Fraction(1))
+
+
+def _eliminations(m, b):
+    try:
+        inverse = m.inverse()
+    except RankError as exc:
+        inverse = str(exc)
+    return m.rref(), m.rank(), m.kernel(), inverse, m.solve(b)
+
+
+@pytest.mark.parametrize("rows, b", [
+    ([[2, 1, 0], [1, 1, 3], [0, 2, 1]], (1, 2, 3)),
+    ([[1, 2, 3], [2, 4, 7]], (1, 3)),
+    ([[1, 2], [2, 4]], (1, 2)),
+])
+def test_stored_echelon_form_survives_edits_to_returned_lists(rows, b):
+    m = Mat(rows)
+    want = _eliminations(Mat(rows), b)
+    for _ in range(2):
+        ech, pivots = m.rref()
+        ech[0][0] = 99
+        ech.append([7] * m.ncols)
+        pivots.append(5)
+        assert _eliminations(m, b) == want
+
+
+def test_solve_rejects_a_right_hand_side_of_another_length():
+    m = Mat([[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ValueError):
+        m.solve((1, 2))
+    assert m.solve((1, 2, 3)) == (1, 2)
+    assert m.solve((1, 2, 4)) is None

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctrop.errors import NonGenericEndpoint, RankUnsupported
+from ctrop.errors import BadParams, NonGenericEndpoint, RankUnsupported
 from ctrop.laurent import LaurentPolynomial, is_pointed, transport
 from ctrop.linalg import Mat
 from ctrop.scattering import (ScatteringDiagram, Wall, complete_rank2,
@@ -152,6 +152,19 @@ def test_nongeneric_endpoint():
     dia = a2_diagram()
     with pytest.raises(NonGenericEndpoint):
         enumerate_broken_lines(dia, (-1, 0), (0, 1), 10)
+
+
+def test_label_of_wrong_length_is_rejected():
+    dia = a2_diagram()
+    for label in ((1,), (0, 0, 0), (-1, 0, 1)):
+        with pytest.raises(BadParams):
+            theta_function(dia, label)
+        with pytest.raises(BadParams):
+            enumerate_broken_lines(dia, label, (Fraction(1, 3), 1))
+        with pytest.raises(BadParams):
+            structure_constant(dia, label, (1, 0), (0, 1))
+        with pytest.raises(BadParams):
+            structure_constant(dia, (1, 0), (0, 1), label)
 
 
 def test_gr36_bend_fixture():
