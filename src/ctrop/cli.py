@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -353,11 +354,19 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         rc = args.func(args)
+        sys.stdout.flush()
         return rc or 0
     except DomainError as exc:
         json.dump({"error": {"code": exc.code, "message": str(exc)}},
                   sys.stderr)
         sys.stderr.write("\n")
+        return 1
+    except BrokenPipeError:
+        # the reader went away (`ctrop ... | head`): send what is still
+        # buffered to the null device, so the flush at exit prints nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadParams, EmptyInput, NotInSpan, NotLaurent, RankError
-from .linalg import LESS, Mat, TotalOrder, dominance_compare, vec
+from .linalg import LESS, TotalOrder, dominance_compare, vec
 
 
 def _grlex_key(e):
@@ -215,13 +215,13 @@ def _chart_step(s, s2, f, flavor, forward):
     src, dst = (s, s2) if forward else (s2, s)
     sign = 1 if forward else -1
     if flavor == "A":
-        frame = src.f_matrix()
+        frame_t = src.f_matrix().transpose()
         to_own = dst.f_matrix().inverse().transpose()
         binom = s.v_initial(k)
         pairing = lambda m: s.pairing_dkek(k, m)
         lattice = "M°"
     else:
-        frame = src.basis
+        frame_t = src.basis.transpose()
         to_own = dst.basis.inverse().transpose()
         binom = s.e_initial(k)
         pairing = lambda m: s.fixed.d[k] * _skew_pair(s.fixed.skew, m, binom)
@@ -229,7 +229,7 @@ def _chart_step(s, s2, f, flavor, forward):
     g = {}
     powers = {}
     for e, c in f.coeffs.items():
-        init = tuple((Mat([e]) * frame).rows[0])
+        init = frame_t * e
         p = sign * pairing(init)
         if Fraction(p).denominator != 1:
             raise NotLaurent("non-integral pairing; exponent not in %s"

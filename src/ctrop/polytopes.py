@@ -215,24 +215,21 @@ def convex_hull(points):
         y = tuple(Fraction(x, r[-1]) for x in r[:-1])
         facets_t.append(y)
 
-    gram_inv = (W * WT).inverse()
-    lift = gram_inv * W
+    lift_t = ((W * WT).inverse() * W).transpose()
     facets = []
     for y in facets_t:
         # <y, t - centroid> <= 1  becomes  <phi, x> >= offset
-        phi = tuple(-q for q in (Mat([y]) * lift).rows[0])
+        phi = tuple(-q for q in lift_t * y)
         off = -Fraction(1) - vdot(y, centroid) + vdot(phi, x0)
         nrm = clear_denominators(phi + (off,))
         facets.append((nrm[:-1], Fraction(nrm[-1])))
 
     # vertices: input points where the tight facets have full rank d
+    reduced = [(f, off, W * f) for f, off in facets]
     verts = []
-    for p, t in zip(pts, coords):
-        tightdirs = [f for f, off in facets if vdot(f, p) == off]
-        if not tightdirs:
-            continue
-        reduced = [tuple((Mat([f]) * WT).rows[0]) for f in tightdirs]
-        if Mat(reduced).rank() == d:
+    for p in pts:
+        tight = [wf for f, off, wf in reduced if vdot(f, p) == off]
+        if tight and Mat(tight).rank() == d:
             verts.append(p)
     return Polytope(verts, facets, equations, dim)
 
@@ -261,8 +258,7 @@ def vertices_from_hrep(ineqs, equalities, dim):
     rows = []
     for n, b in ineqs:
         n = vec(n)
-        coef = tuple((Mat([n]) * WT).rows[0])
-        rows.append(coef + (vdot(n, x0) - Fraction(b),))
+        rows.append(W * n + (vdot(n, x0) - Fraction(b),))
     rows.append((Fraction(0),) * d + (Fraction(1),))
     try:
         rays = _extreme_rays(rows, d + 1)

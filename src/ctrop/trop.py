@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParams, FrozenIndex, NotPositive, RankError
-from .linalg import Mat, vdot, vec
+from .linalg import vdot, vec
 from .polytopes import AffineSubspace, convex_hull, vertices_from_hrep
 
 
@@ -145,11 +145,10 @@ class ElementaryStep:
     """One tropical mutation as a piecewise-linear map: bends along the
     hyperplane <phi, x> = 0, linear on each side."""
 
-    def __init__(self, phi, increment, active_side, dim):
+    def __init__(self, phi, increment, active_side):
         self.phi = vec(phi)
         self.increment = vec(increment)
         self.active_side = active_side  # +1: bracket active on phi >= 0
-        self.dim = dim
 
     def apply(self, x):
         t = vdot(self.phi, x)
@@ -157,15 +156,6 @@ class ElementaryStep:
         if act:
             return tuple(a + t * b for a, b in zip(x, self.increment))
         return tuple(x)
-
-    def linear_piece(self, side):
-        """Matrix of the map on the side sign(phi . x) == side."""
-        n = self.dim
-        if side == self.active_side:
-            rows = [[(1 if i == j else 0) + self.increment[i] * self.phi[j]
-                     for j in range(n)] for i in range(n)]
-            return Mat(rows)
-        return Mat.identity(n)
 
 
 class PLMap:
@@ -185,8 +175,7 @@ class PLMap:
         cur = s
         for k in word:
             phi, inc = _edge_data(cur, k, flavor)
-            steps.append(ElementaryStep(phi, inc, 1 if conv == "T" else -1,
-                                        cur.fixed.n))
+            steps.append(ElementaryStep(phi, inc, 1 if conv == "T" else -1))
             cur = cur.mutate(k)
         return PLMap(steps)
 
@@ -204,22 +193,23 @@ class ConvexityReport:
 
 
 def _halve(p, phi, side):
-    """Intersection of p with the halfspace side * <phi, x> >= 0."""
+    """Sorted vertices of p cut by the halfspace side * <phi, x> >= 0."""
     n = tuple(side * x for x in phi)
-    ineqs = list(p.facets) + [(n, Fraction(0))]
-    verts = vertices_from_hrep(ineqs, p.equations, p.dim)
-    if not verts:
-        return None
-    return convex_hull(verts)
+    return vertices_from_hrep(p.facets + [(n, Fraction(0))], p.equations,
+                              p.dim)
 
 
 def apply_pl_to_polytope(plmap, p):
     """Image of a polytope under a PL map via exact halfspace subdivision.
 
     For each elementary mutation the polytope is split along the bending
-    hyperplane, each closed piece is mapped by its linear map, and the
-    convex hull of the union is taken.  The report records, per step,
-    whether that union was already convex.
+    hyperplane and each closed piece is mapped by its linear map, the
+    convex hull of the union being the next polytope.  A linear piece is
+    I + inc phi^T with <phi, inc> = 0: it has determinant 1 and fixes the
+    bending hyperplane, so it carries a piece's vertices to the vertices
+    of its image.  The report records, per step, whether the union was
+    already convex, i.e. whether the hull cut back along the hyperplane
+    gives the mapped pieces.
     """
     flags = []
     cur = p
@@ -227,20 +217,10 @@ def apply_pl_to_polytope(plmap, p):
         pieces = []
         for side in (1, -1):
             half = _halve(cur, st.phi, side)
-            if half is not None:
-                mat = st.linear_piece(side)
-                pieces.append((side, convex_hull(
-                    [mat * vec(v) for v in half.vertices])))
-        allverts = [v for _, q in pieces for v in q.vertices]
-        hull = convex_hull(allverts)
-        if len(pieces) == 1:
-            flags.append(True)
-        else:
-            ok = True
-            for side, q in pieces:
-                back = _halve(hull, st.phi, side)
-                if back is None or back != q:
-                    ok = False
-            flags.append(ok)
+            if half:
+                pieces.append((side, sorted(st.apply(v) for v in half)))
+        hull = convex_hull([v for _, image in pieces for v in image])
+        flags.append(len(pieces) == 1 or all(
+            _halve(hull, st.phi, side) == image for side, image in pieces))
         cur = hull
     return cur, ConvexityReport(flags, all(flags))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -299,3 +302,23 @@ def test_cli_golden(name, capsys):
     assert out == (GOLDEN / ("%s.out" % name)).read_text()
     err_file = GOLDEN / ("%s.err" % name)
     assert err == (err_file.read_text() if err_file.exists() else "")
+
+
+def test_cli_closed_stdout_exits_cleanly():
+    # `ctrop ... | head -1`: the reader has gone before anything is
+    # written, so every write to stdout fails with a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctrop", "scatter", "theta", "--fixture",
+             "a2", "--label=-1,0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from ctrop import polytopes
+from ctrop.acceptance import load_fixture_seed
 from ctrop.errors import FrozenIndex, NotPositive, RankError
 from ctrop.laurent import LaurentPolynomial
 from ctrop.linalg import Mat
-from ctrop.polytopes import convex_hull
+from ctrop.polytopes import convex_hull, lattice_points
 from ctrop.seeds import FixedData, ensemble_map
 from ctrop.trop import (PLMap, TropicalPoint, apply_pl_to_polytope,
                         i_involution, trop_mutate, tropicalize,
@@ -133,6 +135,68 @@ def test_apply_pl_straddling_square():
     back = PLMap.from_mutations(s.mutate(0), (0,), "X", "T")
     img2, _ = apply_pl_to_polytope(back, img)
     assert all(img2.contains(v) for v in square.vertices)
+
+
+def test_apply_pl_single_step_properties():
+    # random lattice polytopes through one tropical mutation: the image
+    # holds the image of every lattice point, the inverse step carries the
+    # image vertices back into p, and when the report says convex it
+    # carries every lattice point of the image back into p
+    rng = random.Random(11)
+    seeds = [A2.initial_seed(), RUNNING.initial_seed(),
+             load_fixture_seed("kronecker.json")]
+    for s in seeds:
+        for _ in range(12):
+            p = convex_hull([(rng.randint(-3, 3), rng.randint(-3, 3))
+                             for _ in range(rng.randint(1, 5))])
+            for k in sorted(s.fixed.unfrozen):
+                for flavor in ("A", "X"):
+                    for conv in ("T", "t"):
+                        pl = PLMap.from_mutations(s, (k,), flavor, conv)
+                        back = PLMap.from_mutations(s.mutate(k), (k,),
+                                                    flavor, conv)
+                        img, rep = apply_pl_to_polytope(pl, p)
+                        assert all(img.contains(pl.apply(x))
+                                   for x in lattice_points(p))
+                        assert all(p.contains(back.apply(v))
+                                   for v in img.vertices)
+                        if rep.convex:
+                            assert all(p.contains(back.apply(y))
+                                       for y in lattice_points(img))
+
+
+def test_apply_pl_polytope_touching_bend_in_a_face():
+    # [0,1]^2 meets the bending hyperplane x_0 = 0 only in its left edge
+    s = A2.initial_seed()
+    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    img, rep = apply_pl_to_polytope(
+        PLMap.from_mutations(s, (0,), "X", "T"), square)
+    assert img == convex_hull([(0, 0), (1, 1), (0, 1), (1, 2)])
+    assert rep.step_convex == [True]
+    # with the t convention only the edge lies on the active side, where
+    # the bracket vanishes
+    img, rep = apply_pl_to_polytope(
+        PLMap.from_mutations(s, (0,), "X", "t"), square)
+    assert img == square and rep.step_convex == [True]
+
+
+def test_apply_pl_double_description_runs_per_step(monkeypatch):
+    # pieces are mapped by their vertices: one hull and at most four
+    # halfspace cuts per step
+    runs = []
+    inner = polytopes._extreme_rays
+    monkeypatch.setattr(polytopes, "_extreme_rays",
+                        lambda rows, dim: runs.append(dim) or
+                        inner(rows, dim))
+    plmap = PLMap.from_mutations(A2.initial_seed(), (0,), "X", "T")
+    straddling = convex_hull([(-1, -1), (1, -1), (-1, 1), (1, 1)])
+    one_sided = convex_hull([(1, 0), (2, 0), (1, 1), (2, 1)])
+    del runs[:]
+    apply_pl_to_polytope(plmap, straddling)
+    assert len(runs) <= 5
+    del runs[:]
+    apply_pl_to_polytope(plmap, one_sided)
+    assert len(runs) <= 3
 
 
 def test_fiber_positivity_of_bending_directions():
