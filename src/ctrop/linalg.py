@@ -62,6 +62,12 @@ def clear_denominators(a):
     return tuple(ints)
 
 
+def independent_rows(rows):
+    """Indices of the rows independent of the rows before them: the pivot
+    columns of one elimination of the transpose."""
+    return Mat(rows).transpose().rref()[1]
+
+
 class Mat:
     """Dense exact matrix over the rationals.
 

@@ -13,32 +13,23 @@ import math
 from fractions import Fraction
 
 from .errors import BadParams, EmptyInput, Unbounded
-from .linalg import Mat, clear_denominators, vdot, vec
+from .linalg import Mat, clear_denominators, independent_rows, vdot, vec
 
 
 def _extreme_rays(rows, dim):
     """Extreme rays of the pointed cone {x : r . x >= 0 for r in rows}.
 
-    rows must have rank == dim (pointedness).  Returns primitive integer
-    rays.  Classical double description with the combinatorial adjacency
-    test.
+    rows must have rank == dim (pointedness).  Returns (rays, tight): the
+    primitive integer rays and, for each ray, the exact set of row indices
+    vanishing on it.  Classical double description with the combinatorial
+    adjacency test.
     """
     A = [vec(r) for r in rows]
-    m = Mat(A)
-    if m.rank() != dim:
+    # initial simplicial subcone from the first dim independent rows
+    idx = independent_rows(A)
+    if len(idx) != dim:
         raise BadParams("cone is not pointed")
-    # initial simplicial subcone from dim independent rows
-    idx = []
-    cur = []
-    for i, r in enumerate(A):
-        trial = Mat(cur + [r])
-        if trial.rank() == len(cur) + 1:
-            idx.append(i)
-            cur.append(r)
-            if len(cur) == dim:
-                break
-    base = Mat(cur)
-    inv = base.inverse()
+    inv = Mat([A[i] for i in idx]).inverse()
     rays = [clear_denominators(inv.col(j)) for j in range(dim)]
     processed = list(idx)
     tight = []
@@ -86,7 +77,7 @@ def _extreme_rays(rows, dim):
                 seen[r] = t
         rays = list(seen)
         tight = [seen[r] for r in rays]
-    return rays
+    return rays, tight
 
 
 class AffineSubspace:
@@ -160,17 +151,6 @@ class Polytope:
         return "Polytope(%d vertices, dim %d)" % (len(self.vertices), self.dim)
 
 
-def _affine_basis(points):
-    """(x0, W) with W rows spanning the direction space of the points."""
-    x0 = points[0]
-    dirs = [tuple(a - b for a, b in zip(p, x0)) for p in points[1:]]
-    basis = []
-    for d in dirs:
-        if Mat(basis + [d]).rank() == len(basis) + 1:
-            basis.append(d)
-    return x0, basis
-
-
 def convex_hull(points):
     """Exact convex hull: irredundant vertices plus facet inequalities and
     affine-hull equations."""
@@ -179,12 +159,14 @@ def convex_hull(points):
         raise EmptyInput("hull of empty point set")
     dim = len(pts[0])
     pts = sorted(set(pts))
-    x0, basis = _affine_basis(pts)
-    d = len(basis)
+    x0 = pts[0]
+    dirs = [tuple(a - b for a, b in zip(p, x0)) for p in pts]
+    W = Mat([dirs[i] for i in independent_rows(dirs)])
+    d = W.nrows
 
     # affine hull equations: kernel of the direction space
     if d < dim:
-        eq_basis = Mat(basis).kernel() if basis else [
+        eq_basis = W.kernel() if d else [
             tuple(r) for r in Mat.identity(dim).rows]
         equations = [(h, vdot(h, x0)) for h in eq_basis]
     else:
@@ -193,12 +175,10 @@ def convex_hull(points):
     if d == 0:
         return Polytope([x0], [], equations, dim)
 
-    W = Mat(basis)
-    WT = W.transpose()
-    coords = []
-    for p in pts:
-        t = WT.solve(tuple(a - b for a, b in zip(p, x0)))
-        coords.append(t)
+    # coordinates in the basis: the left inverse (W W^T)^-1 W, whose
+    # transpose lifts facet normals back to the ambient space
+    left = (W * W.transpose()).inverse() * W
+    coords = [left * u for u in dirs]
     centroid = tuple(sum(c[i] for c in coords) / Fraction(len(coords))
                      for i in range(d))
     shifted = [tuple(a - b for a, b in zip(c, centroid)) for c in coords]
@@ -206,31 +186,28 @@ def convex_hull(points):
     # polar dual: vertices of {y : <y, u> <= 1 for all shifted points u}
     rows = [tuple([-x for x in u]) + (Fraction(1),) for u in shifted]
     rows.append((Fraction(0),) * d + (Fraction(1),))
-    rays = _extreme_rays(rows, d + 1)
-    facets_t = []
+    rays, tight = _extreme_rays(rows, d + 1)
+    lift_t = left.transpose()
+    facets = []
     for r in rays:
         if r[-1] == 0:
             # polar is bounded because 0 is interior; cannot happen
             raise BadParams("interior point failure in hull")
         y = tuple(Fraction(x, r[-1]) for x in r[:-1])
-        facets_t.append(y)
-
-    lift_t = ((W * WT).inverse() * W).transpose()
-    facets = []
-    for y in facets_t:
         # <y, t - centroid> <= 1  becomes  <phi, x> >= offset
         phi = tuple(-q for q in lift_t * y)
         off = -Fraction(1) - vdot(y, centroid) + vdot(phi, x0)
         nrm = clear_denominators(phi + (off,))
         facets.append((nrm[:-1], Fraction(nrm[-1])))
 
-    # vertices: input points where the tight facets have full rank d
-    reduced = [(f, off, W * f) for f, off in facets]
-    verts = []
-    for p in pts:
-        tight = [wf for f, off, wf in reduced if vdot(f, p) == off]
-        if tight and Mat(tight).rank() == d:
-            verts.append(p)
+    # a point is a vertex iff it is the only point on all of its facets;
+    # tight[j] holds the indices of the points on facet j
+    on = [[] for _ in pts]
+    for t in tight:
+        for i in t:
+            on[i].append(t)
+    verts = [p for p, fs in zip(pts, on)
+             if fs and len(frozenset.intersection(*fs)) == 1]
     return Polytope(verts, facets, equations, dim)
 
 
@@ -261,7 +238,7 @@ def vertices_from_hrep(ineqs, equalities, dim):
         rows.append(W * n + (vdot(n, x0) - Fraction(b),))
     rows.append((Fraction(0),) * d + (Fraction(1),))
     try:
-        rays = _extreme_rays(rows, d + 1)
+        rays, _ = _extreme_rays(rows, d + 1)
     except BadParams:
         raise Unbounded("region contains a line")
     verts = []

@@ -119,6 +119,7 @@ class ScatteringDiagram:
         self.fd = fd
         self.p = p
         self._offset_cache = {}
+        self._depth = None
 
     def at_order(self, order):
         """The same walls read at another truncation order (self when the
@@ -153,6 +154,10 @@ class ScatteringDiagram:
         return out
 
     def _depth_generators(self):
+        """(generator columns, degrees), built on the first depth query and
+        kept on the diagram."""
+        if self._depth is not None:
+            return self._depth
         if self.fd is not None and self.unfrozen is not None:
             gs = [vec(self.fd.epsilon().rows[k]) for k in self.unfrozen]
             degs = [1] * len(gs)
@@ -165,7 +170,8 @@ class ScatteringDiagram:
         m = Mat.from_cols(gs)
         if m.rank() != len(gs):
             raise BadParams("wall exponent directions are dependent")
-        return m, degs
+        self._depth = m, degs
+        return self._depth
 
     def offset_depth(self, offset):
         """N_uf^+-degree of an exponent offset in the positive cone of the

@@ -4,8 +4,8 @@ duality, cluster ensemble lattice maps.
 Conventions.  A seed is addressed by its mutation word from a single
 initial seed.  The `basis` matrix stores the seed basis vectors e_{i;s} as
 rows, written in the coordinates of the initial basis of N.  The exchange
-matrix is eps[i][j] = {e_{i;s}, d_j e_{j;s}}, recomputed exactly from the
-basis and the fixed skew form after every mutation.
+matrix is eps[i][j] = {e_{i;s}, d_j e_{j;s}}; mutation updates it by the
+closed-form matrix mutation rule, which keeps this identity exactly.
 
 Coordinate systems used throughout the library:
   * N-vectors: coordinates in the initial basis (e_i),
@@ -60,7 +60,7 @@ class FixedData:
                     for i in range(self.n)])
 
     def initial_seed(self):
-        return Seed(self, (), Mat.identity(self.n))
+        return Seed(self, (), Mat.identity(self.n), self.epsilon())
 
     def seed(self, word):
         s = self.initial_seed()
@@ -87,23 +87,15 @@ class Seed:
     order are computed on first use and kept on the seed.
     """
 
-    def __init__(self, fixed, word, basis, eps=None, parent=None):
+    def __init__(self, fixed, word, basis, eps, parent=None):
         self.fixed = fixed
         self.word = tuple(word)
         self.basis = basis
-        self.eps = eps if eps is not None else self._compute_eps()
+        self.eps = eps
         self.parent = parent
         self._f = None
         self._pstar = None
         self._order = None
-
-    def _compute_eps(self):
-        b = self.basis
-        lam = self.fixed.skew
-        bl = b * lam * b.transpose()
-        d = self.fixed.d
-        return Mat([[bl.rows[i][j] * d[j] for j in range(self.fixed.n)]
-                    for i in range(self.fixed.n)])
 
     @property
     def n(self):
@@ -119,16 +111,21 @@ class Seed:
         if self.word and self.word[-1] == k and self.parent is not None:
             return self.parent
         n = self.fixed.n
-        col = [self.eps.rows[i][k] for i in range(n)]
+        e = self.eps.rows
         rows = []
         for i in range(n):
             if i == k:
                 rows.append([-x for x in self.basis.rows[k]])
             else:
-                c = POS(col[i])
+                c = POS(e[i][k])
                 rows.append([a + c * b for a, b in
                              zip(self.basis.rows[i], self.basis.rows[k])])
-        return Seed(self.fixed, self.word + (k,), Mat(rows), parent=self)
+        # matrix mutation in closed form (Fomin-Zelevinsky)
+        eps = [[-e[i][j] if k in (i, j)
+                else e[i][j] + POS(e[i][k]) * e[k][j] + e[i][k] * POS(-e[k][j])
+                for j in range(n)] for i in range(n)]
+        return Seed(self.fixed, self.word + (k,), Mat(rows), Mat(eps),
+                    parent=self)
 
     def e_initial(self, k):
         """e_{k;s} in initial N-coordinates."""
@@ -136,9 +133,10 @@ class Seed:
 
     def v_initial(self, k):
         """v_{k;s} = {e_{k;s}, .} in initial M°-coordinates (f-basis)."""
-        bl = self.basis * self.fixed.skew
+        b = self.basis.rows[k]
         d = self.fixed.d
-        return tuple(bl.rows[k][j] * d[j] for j in range(self.fixed.n))
+        return tuple(vdot(b, c) * d[j]
+                     for j, c in enumerate(self.fixed.skew.cols()))
 
     def pairing_dkek(self, k, m):
         """<d_k e_{k;s}, m> for m in initial M°-coordinates."""

@@ -287,7 +287,7 @@ def test_transport_between_independent_seeds_gr36():
 def test_transport_from_a_seed_without_parent():
     fd, s0, _ = rectangles_seed(3, 6)
     s = fd.seed((4, 5, 4))
-    orphan = Seed(fd, s.word, s.basis)
+    orphan = Seed(fd, s.word, s.basis, s.eps)
     assert orphan.parent is None
     for v in range(fd.n):
         f = mono(tuple(1 if i == v else 0 for i in range(fd.n)))

@@ -145,3 +145,52 @@ def test_solve_rejects_a_right_hand_side_of_another_length():
         m.solve((1, 2))
     assert m.solve((1, 2, 3)) == (1, 2)
     assert m.solve((1, 2, 4)) is None
+
+
+def _random_int_matrix(rng):
+    """Random integer matrix: uniform entries, or (half the time) a
+    product of random m x r and r x n factors, often rank deficient."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    if rng.random() < 0.5:
+        return [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    r = rng.randint(0, min(m, n))
+    a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    return [[sum(x * y[j] for x, y in zip(row, b)) for j in range(n)]
+            for row in a]
+
+
+def test_mat_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def frac(x):
+        return Fraction(int(x.p), int(x.q))
+
+    rng = random.Random(61)
+    for _ in range(300):
+        rows = _random_int_matrix(rng)
+        m, s = Mat(rows), sympy.Matrix(rows)
+        assert m.rank() == s.rank()
+        want_rows, want_pivots = s.rref()
+        got_rows, got_pivots = m.rref()
+        assert got_pivots == list(want_pivots)
+        assert got_rows == [[frac(x) for x in want_rows.row(i)]
+                            for i in range(s.rows)]
+        kernel = m.kernel()
+        want = s.nullspace()
+        assert len(kernel) == len(want)
+        for got, v in zip(kernel, want):
+            # each basis vector is a positive multiple of sympy's
+            v = [frac(x) for x in v]
+            c = next(g / x for g, x in zip(got, v) if x != 0)
+            assert c > 0 and list(got) == [c * x for x in v]
+        if m.nrows == m.ncols:
+            det = frac(s.det())
+            assert m.det() == det
+            if det == 0:
+                with pytest.raises(RankError):
+                    m.inverse()
+            else:
+                inv = s.inv()
+                assert m.inverse().rows == tuple(
+                    tuple(frac(x) for x in inv.row(i)) for i in range(s.rows))

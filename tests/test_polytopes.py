@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from ctrop import linalg
 from ctrop.errors import EmptyInput, Unbounded
-from ctrop.grassmannian import GrData, hook_g_vector
-from ctrop.linalg import Mat, vdot
+from ctrop.grassmannian import GrData, homogenized_g, hook_g_vector
+from ctrop.linalg import Mat, independent_rows, vdot, vec
 from ctrop.polytopes import (AffineSubspace, Cone, Polytope, convex_hull,
                              lattice_points, slice_cone, superpotential_cone,
                              verify_unimodular, vertices_from_hrep)
@@ -141,3 +142,82 @@ def test_minkowski_scaling_of_slices():
 def test_empty_hull_raises():
     with pytest.raises(EmptyInput):
         convex_hull([])
+
+
+def _greedy_independent(rows):
+    """Reference: keep a row when it raises the rank of the rows kept."""
+    kept = []
+    for i, r in enumerate(rows):
+        if Mat([rows[j] for j in kept] + [r]).rank() == len(kept) + 1:
+            kept.append(i)
+    return kept
+
+
+def _random_points(rng, dim):
+    """Random points: full- or lower-dimensional, with rational, duplicate
+    and interior points."""
+    k = rng.randint(0, dim)
+    x0 = [rng.randint(-2, 2) for _ in range(dim)]
+    span = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(k)]
+    pts = []
+    for _ in range(rng.randint(1, dim + 5)):
+        cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in span]
+        pts.append(tuple(x + sum(c * b[i] for c, b in zip(cs, span))
+                         for i, x in enumerate(x0)))
+    if len(pts) >= 2:
+        pts.append(tuple((a + b) / 2 for a, b in zip(pts[0], pts[1])))
+        pts.append(pts[0])
+    rng.shuffle(pts)
+    return pts
+
+
+def _rank_rule_vertices(points):
+    """Reference: the points whose tight facets, read in the direction
+    space of the hull, have rank equal to its dimension."""
+    pts = sorted(set(vec(p) for p in points))
+    dirs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts]
+    W = Mat([dirs[i] for i in _greedy_independent(dirs)])
+    if W.nrows == 0:
+        return (pts[0],)
+    hull = convex_hull(points)
+    verts = []
+    for p in pts:
+        tight = [W * f for f, off in hull.facets if vdot(f, p) == off]
+        if tight and Mat(tight).rank() == W.nrows:
+            verts.append(p)
+    return tuple(sorted(verts))
+
+
+def test_hull_vertices_match_tight_facet_rank_rule():
+    rng = random.Random(41)
+    for t in range(200):
+        pts = _random_points(rng, 1 + t % 4)
+        assert convex_hull(pts).vertices == _rank_rule_vertices(pts)
+
+
+def test_independent_rows_matches_greedy_rank_selection():
+    rng = random.Random(43)
+    assert independent_rows([]) == []
+    assert independent_rows([(), ()]) == []
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        r = rng.randint(0, min(m, n))
+        left = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        rows = [tuple(sum(a * b[j] for a, b in zip(row, right))
+                      for j in range(n)) for row in left]
+        assert independent_rows(rows) == _greedy_independent(rows)
+
+
+def test_gr36_hull_eliminates_at_most_five_times(monkeypatch):
+    # one pick of independent directions, one left inverse, one kernel
+    # for the affine hull, two in the double description; vertex status
+    # is read from its incidences
+    gr = GrData(3, 6)
+    pts = [homogenized_g(J, 3, 6) for J in gr.plucker_indices()]
+    calls = []
+    inner = linalg.Mat.rref
+    monkeypatch.setattr(linalg.Mat, "rref",
+                        lambda self: calls.append(1) or inner(self))
+    convex_hull(pts)
+    assert len(calls) <= 5

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from ctrop.acceptance import load_fixture_seed
 from ctrop.errors import FrozenIndex
+from ctrop.grassmannian import rectangles_seed
 from ctrop.linalg import Mat
 from ctrop.seeds import (FixedData, build_principal, ensemble_map,
                          langlands_dual, optimized_check,
@@ -62,9 +64,9 @@ def _stepwise_cases():
 
 
 def test_eps_recompute_matches_stepwise():
-    # recomputing eps from the basis agrees with the standard matrix
-    # mutation rule applied step by step, including the skew-symmetrizable
-    # case
+    # eps agrees with the standard matrix mutation rule, written with
+    # [b_ik]+[b_kj]+ - [-b_ik]+[-b_kj]+ and applied step by step,
+    # including the skew-symmetrizable case
     rng = random.Random(9)
     for fd in list(_stepwise_cases()) * 5:
         s = fd.initial_seed()
@@ -82,6 +84,43 @@ def test_eps_recompute_matches_stepwise():
                             - max(0, -eps[i][k]) * max(0, -eps[k][j])
             eps = nxt
             assert [[int(x) for x in r] for r in s.eps.rows] == eps
+
+
+def _eps_from_basis(s):
+    """Oracle: the exchange matrix read off the seed basis, B Lambda B^T D."""
+    bl = s.basis * s.fixed.skew * s.basis.transpose()
+    d = s.fixed.d
+    return Mat([[bl.rows[i][j] * d[j] for j in range(s.n)]
+                for i in range(s.n)])
+
+
+def _oracle_cases():
+    for name in ("a2.json", "running_example.json", "kronecker.json"):
+        fd = load_fixture_seed(name).fixed
+        for base in (fd, langlands_dual(fd)):
+            yield base
+            yield build_principal(base)
+    for k, n in ((3, 6), (3, 7)):
+        yield rectangles_seed(k, n)[0]
+
+
+def test_matrix_mutation_matches_eps_read_from_basis():
+    # forward mutations only (a repeated direction returns the parent);
+    # v_initial is checked against the full product basis * skew too
+    rng = random.Random(31)
+    for fd in _oracle_cases():
+        ks = sorted(fd.unfrozen)
+        for _ in range(6):
+            s = fd.initial_seed()
+            assert s.eps == _eps_from_basis(s)
+            for _ in range(rng.randint(1, 10)):
+                s = s.mutate(rng.choice(
+                    [k for k in ks if not s.word or k != s.word[-1]]))
+                assert s.eps == _eps_from_basis(s)
+                bl = s.basis * fd.skew
+                for k in range(fd.n):
+                    assert s.v_initial(k) == tuple(
+                        bl.rows[k][j] * fd.d[j] for j in range(fd.n))
 
 
 def test_build_principal_trivial():
