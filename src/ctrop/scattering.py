@@ -29,14 +29,6 @@ _PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
 _ATTEMPTS = 32
 
 
-def _binom(p, i):
-    """Generalized binomial coefficient C(p, i) for integer p, i >= 0."""
-    num = Fraction(1)
-    for t in range(i):
-        num *= Fraction(p - t, t + 1)
-    return num
-
-
 class Wall:
     """Cone support inside a hyperplane with a truncated wall series.
 
@@ -63,30 +55,15 @@ class Wall:
         return max(self.series, default=0)
 
     def power_terms(self, power, kmax):
-        """Coefficients {j: a_j} of f^power = sum a_j z^(j g), j <= kmax."""
-        u = {k: c for k, c in self.series.items() if k <= kmax}
-        out = {0: Fraction(1)}
-        ui = {0: Fraction(1)}
-        i = 1
-        while True:
-            nxt = {}
-            for ka, ca in ui.items():
-                for kb, cb in u.items():
-                    k = ka + kb
-                    if k > kmax:
-                        continue
-                    nxt[k] = nxt.get(k, Fraction(0)) + ca * cb
-            ui = nxt
-            if not ui or min(ui) > kmax:
-                break
-            c = _binom(power, i)
-            if c != 0:
-                for k, cu in ui.items():
-                    out[k] = out.get(k, Fraction(0)) + c * cu
-            if 0 <= power <= i:
-                break
-            i += 1
-        return {k: c for k, c in out.items() if c != 0}
+        """Coefficients {j: a_j} of f^power = sum a_j z^(j g), j <= kmax, by
+        J. C. P. Miller's recurrence n a_n = sum_k ((power+1) k - n) c_k
+        a_(n-k) (Knuth, TAOCP Vol. 2, 4.7)."""
+        a = [Fraction(1)]
+        for n in range(1, kmax + 1):
+            a.append(Fraction(sum(((power + 1) * k - n) * c * a[n - k]
+                                  for k, c in self.series.items() if k <= n),
+                              n))
+        return {j: c for j, c in enumerate(a) if c != 0}
 
     def to_json(self):
         kmax = self.max_k()
@@ -135,23 +112,15 @@ class ScatteringDiagram:
         return tuple(x[i] for i in self.unfrozen)
 
     def ray_dir(self, wall):
-        """Outgoing direction of a ray wall in the 2d shadow."""
-        return tuple(-Fraction(x) for x in self.proj(wall.g))
+        """Outgoing (integer) direction of a ray wall in the 2d shadow."""
+        return tuple(-x for x in self.proj(wall.g))
 
-    def on_wall(self, x):
-        """Indices of walls whose support contains the point x."""
-        out = []
-        for i, w in enumerate(self.walls):
-            if vdot(w.phi, x) != 0:
-                continue
-            if w.kind == "line":
-                out.append(i)
-                continue
-            u = self.ray_dir(w)
-            y = self.proj(x)
-            if _on_ray(y, u):
-                out.append(i)
-        return out
+    def on_wall(self, x, h):
+        """Indices of walls whose support contains the point x, where h[i]
+        is the value of wall i's functional at x."""
+        return [i for i, w in enumerate(self.walls)
+                if h[i] == 0 and (w.kind == "line"
+                                  or _on_ray(self.proj(x), self.ray_dir(w)))]
 
     def _depth_generators(self):
         """(generator columns, degrees), built on the first depth query and
@@ -210,6 +179,14 @@ def _on_ray(y, u):
         return y[0] * u[0] >= 0
     cross = y[0] * u[1] - y[1] * u[0]
     return cross == 0 and y[0] * u[0] + y[1] * u[1] >= 0
+
+
+def _mutable(dia):
+    """The mutable coordinate indices of the diagram; BadParams for a
+    diagram built without them."""
+    if dia.unfrozen is None:
+        raise BadParams("diagram has no mutable directions")
+    return dia.unfrozen
 
 
 def initial_diagram(fd, p, order):
@@ -310,11 +287,12 @@ def _rel_angle_key(a, u):
 
 def _loop_rays(dia):
     """All (direction, wall index) crossings of a full CCW loop."""
+    ks = _mutable(dia)
     out = []
     for i, w in enumerate(dia.walls):
         if w.kind == "line":
-            phip = [Fraction(w.phi[j]) for j in dia.unfrozen]
-            if len(dia.unfrozen) == 1:
+            phip = [Fraction(w.phi[j]) for j in ks]
+            if len(ks) == 1:
                 out.append(((Fraction(1),), i))
                 out.append(((Fraction(-1),), i))
             else:
@@ -424,7 +402,7 @@ def loop_defect(dia, order=None):
     """Degree-graded defect of the full loop on a generic probe monomial:
     {offset: coefficient} with the identity part removed."""
     dia = dia.at_order(order)
-    k1, k2 = dia.unfrozen
+    k1, k2 = _mutable(dia)
     base = tuple(1 if i in (k1, k2) else 0 for i in range(dia.dim))
     poly = _apply_crossings(dia, _crossings(dia, _generic_loop_dirs(dia)),
                             base)
@@ -442,7 +420,7 @@ def is_consistent(dia, order=None):
     """Loop path-ordered product equals the identity on all generators up
     to the truncation order."""
     dia = dia.at_order(order)
-    if len(dia.unfrozen) <= 1:
+    if len(_mutable(dia)) <= 1:
         return True
     loop = _generic_loop_dirs(dia)
     table = path_ordered_product([tuple(x) for x in loop], dia)
@@ -505,7 +483,6 @@ def complete_rank2(dia, order=None):
     if not is_consistent(out):
         raise BadParams("completed diagram fails the consistency oracle")
     out.walls.sort(key=lambda w: (w.kind != "line", w.n0))
-    out._offset_cache = {}
     return out
 
 
@@ -550,31 +527,32 @@ class BrokenLine:
             self.initial_exponent, self.final(), self.endpoint)
 
 
-def _segment_crossings(dia, x, v):
-    """Wall crossings along the open ray {x + s v : s > 0}: sorted list of
-    (s, wall index, point).  Raises NonGenericEndpoint on joint hits."""
+def _segment_crossings(dia, x, h, v):
+    """Wall crossings along the open ray {x + s v : s > 0}, where h holds
+    every wall functional's value at x: sorted list of (s, wall index,
+    point, values at the point).  Raises NonGenericEndpoint on joint hits."""
+    dens = [vdot(w.phi, v) for w in dia.walls]
     found = []
     for i, w in enumerate(dia.walls):
-        den = vdot(w.phi, v)
-        if den == 0:
+        if dens[i] == 0:
             continue
-        num = vdot(w.phi, x)
-        s = -Fraction(num) / Fraction(den)
+        s = Fraction(h[i], -dens[i])
         if s <= 0:
             continue
-        y = tuple(a + s * b for a, b in zip(x, vec(v)))
         if w.kind == "ray":
-            yp = dia.proj(y)
-            if all(c == 0 for c in yp):
+            yp = tuple(a + s * b for a, b in zip(dia.proj(x), dia.proj(v)))
+            if not any(yp):
                 raise NonGenericEndpoint("path through a joint")
             if not _on_ray(yp, dia.ray_dir(w)):
                 continue
-        found.append((s, i, y))
-    found.sort(key=lambda t: t[0])
-    for (s1, i1, y1), (s2, i2, y2) in zip(found, found[1:]):
+        found.append((s, i))
+    found.sort()
+    for (s1, _), (s2, _) in zip(found, found[1:]):
         if s1 == s2:
             raise NonGenericEndpoint("path through a wall intersection")
-    return found
+    return [(s, i, tuple(a + s * b for a, b in zip(x, v)),
+             tuple(a + s * b for a, b in zip(h, dens)))
+            for s, i in found]
 
 
 def _offset_candidates(dia, bound):
@@ -598,14 +576,19 @@ def _offset_candidates(dia, bound):
     return offs
 
 
+def _sized(dia, x, what):
+    """x, a label or a point; BadParams when its length differs from the
+    diagram dimension."""
+    if len(x) != dia.dim:
+        raise BadParams("%s has %d entries; the diagram has dimension %d"
+                        % (what, len(x), dia.dim))
+    return x
+
+
 def _label(dia, m):
-    """A theta label as an integer tuple; a label whose length differs
-    from the diagram dimension is a BadParams error."""
+    """A theta label as an integer tuple of the diagram dimension."""
     m = tuple(int(x) for x in m)
-    if len(m) != dia.dim:
-        raise BadParams("label %r has %d entries; the diagram has "
-                        "dimension %d" % (m, len(m), dia.dim))
-    return m
+    return _sized(dia, m, "label %r" % (m,))
 
 
 def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
@@ -616,42 +599,41 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
     if not any(m):
         raise BadParams("initial exponent must be nonzero")
     bound = degree_bound if degree_bound is not None else dia.order
-    x0 = vec(endpoint)
-    if dia.on_wall(x0):
+    x0 = _sized(dia, vec(endpoint), "endpoint")
+    h0 = tuple(vdot(w.phi, x0) for w in dia.walls)
+    if dia.on_wall(x0, h0):
         raise NonGenericEndpoint("endpoint lies on a wall")
     results = []
 
-    def walk(x, v, later):
-        # `later` collects (exponent, wall, bend point, factor) for the
-        # segments after the current one, in reverse path order.
+    def walk(x, h, v, later):
+        # h: the wall functionals' values at x.  `later` collects
+        # (exponent, wall, bend point, factor) for the segments after the
+        # current one, in reverse path order.
         rem = dia.offset_depth(tuple(a - b for a, b in zip(v, m)))
         if rem is None:
             return
         if rem == 0:
-            _segment_crossings(dia, x, v)  # certify the initial ray is clean
+            # certify that the initial ray is clean
+            _segment_crossings(dia, x, h, v)
             segs = [(m, None, None, Fraction(1))] + list(reversed(later))
             results.append(segs)
             return
-        for s, i, y in _segment_crossings(dia, x, v):
+        for s, i, y, hy in _segment_crossings(dia, x, h, v):
             w = dia.walls[i]
-            others = [j for j in dia.on_wall(y) if j != i]
-            if others:
+            if dia.on_wall(y, hy) != [i]:
                 raise NonGenericEndpoint("bend point on several walls")
-            power = abs(vdot(w.phi, v))
-            if power == 0:
-                continue
-            terms = w.power_terms(power, rem // w.deg)
+            terms = w.power_terms(abs(vdot(w.phi, v)), rem // w.deg)
             for j in sorted(terms):
                 if j == 0:
                     continue
                 prev = tuple(a - j * b for a, b in zip(v, w.g))
-                walk(y, prev, later + [(v, i, y, terms[j])])
+                walk(y, hy, prev, later + [(v, i, y, terms[j])])
 
     for off, d in sorted(_offset_candidates(dia, bound).items()):
         v0 = tuple(a + b for a, b in zip(m, off))
         if not any(v0):
             continue
-        walk(x0, v0, [])
+        walk(x0, h0, v0, [])
 
     lines = []
     hit_bound = False
@@ -715,17 +697,14 @@ def theta_function(dia, m, basepoint=None, degree_bound=None):
             poly = poly + LaurentPolynomial.monomial(e, c)
         return poly, exact
 
+    ks = _mutable(dia)
     if basepoint is not None:
-        x0 = vec(basepoint)
-        if any(x0[k] <= 0 for k in dia.unfrozen):
+        x0 = _sized(dia, vec(basepoint), "basepoint")
+        if any(x0[k] <= 0 for k in ks):
             raise NonGenericEndpoint("basepoint must be interior to C+")
         return at(x0)
-
-    def sample(attempt):
-        x0 = _sample_basepoint(dia, attempt)
-        return None if dia.on_wall(x0) else x0
-
-    return _at_generic_point(sample, at)
+    return _at_generic_point(lambda attempt: _sample_basepoint(dia, attempt),
+                             at)
 
 
 def theta_on_x(dia_prin, dn, p, degree_bound=None):
@@ -807,7 +786,7 @@ def _near_point(dia, r, attempt):
         if ok and dia.unfrozen is not None:
             if all(c == 0 for c in dia.proj(z)):
                 ok = False
-        if ok and not dia.on_wall(z):
+        if ok:
             return z
     return None
 
@@ -821,7 +800,7 @@ class LazyThetaTable:
         self.degree_bound = degree_bound
         self._cache = {}
 
-    def get(self, label, default=None):
+    def get(self, label):
         label = tuple(int(x) for x in label)
         if label not in self._cache:
             poly, exact = theta_function(self.dia, label,

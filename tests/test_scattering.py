@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from ctrop import scattering
+from ctrop.acceptance import fixture_diagram, gr36_fixture_diagram
 from ctrop.errors import BadParams, NonGenericEndpoint, RankUnsupported
 from ctrop.laurent import LaurentPolynomial, is_pointed, transport
 from ctrop.linalg import Mat
@@ -185,15 +189,12 @@ def test_gr36_bend_fixture():
 
 
 def test_gr36_two_nonzero_structure_constants():
-    from itertools import product as iproduct
-
-    from ctrop.acceptance import gr36_fixture_diagram
     dia, fx = gr36_fixture_diagram()
     p = tuple(fx["valuations"]["124"])
     q = tuple(fx["valuations"]["356"])
     pq = tuple(a + b for a, b in zip(p, q))
     nonzero = {}
-    for c in iproduct(range(3), repeat=4):
+    for c in product(range(3), repeat=4):
         off = [0] * 9
         for j, w in enumerate(dia.walls):
             for i in range(9):
@@ -219,3 +220,126 @@ def test_generic_point_retry_gives_up_loudly():
     with pytest.raises(NonGenericEndpoint, match="no generic endpoint"):
         _at_generic_point(lambda a: a if a % 2 else None, compute)
     assert tried == list(range(1, 32, 2))
+
+
+def _binomial_power_terms(series, power, kmax):
+    """Reference f^power: sum over i of C(power, i) (f - 1)^i, truncated."""
+    u = {k: c for k, c in series.items() if k <= kmax}
+    out = {0: Fraction(1)}
+    ui = {0: Fraction(1)}
+    binom = Fraction(1)
+    i = 1
+    while True:
+        nxt = {}
+        for ka, ca in ui.items():
+            for kb, cb in u.items():
+                if ka + kb <= kmax:
+                    nxt[ka + kb] = nxt.get(ka + kb, Fraction(0)) + ca * cb
+        ui = nxt
+        if not ui:
+            break
+        binom *= Fraction(power - i + 1, i)
+        for k, cu in ui.items():
+            out[k] = out.get(k, Fraction(0)) + binom * cu
+        if 0 <= power <= i:
+            break
+        i += 1
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def test_power_terms_match_binomial_expansion():
+    rng = random.Random(9)
+    for _ in range(300):
+        lo = rng.randint(1, 3)
+        series = {k: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                  for k in range(lo, lo + rng.randint(1, 4))}
+        series[lo] = series[lo] or Fraction(1)
+        w = Wall((1, 0), (0, 1), series, (1, 0), 1, "line")
+        power, kmax = rng.randint(-7, 7), rng.randint(0, 12)
+        got = w.power_terms(power, kmax)
+        assert got == _binomial_power_terms(w.series, power, kmax)
+        assert all(type(c) is Fraction for c in got.values())
+
+
+def test_theta_independent_of_endpoint():
+    rng = random.Random(5)
+    cases = [("a2", False, 6, 2), ("running-example", False, 8, 2),
+             ("kronecker", False, 6, 2), ("running-example", True, 6, 1)]
+    for name, principal, order, box in cases:
+        dia, _ = fixture_diagram(name, order, principal)
+        for m in product(range(-box, box + 1), repeat=dia.dim):
+            if not any(m):
+                continue
+            theta = theta_function(dia, m)
+            if not theta[1]:
+                continue
+            for _ in range(3):
+                # mutable coordinates > 0: a point of C+
+                bp = tuple(Fraction(rng.randint(1, 999), rng.randint(1, 999))
+                           if k in dia.unfrozen else
+                           Fraction(rng.randint(-999, 999), rng.randint(1, 99))
+                           for k in range(dia.dim))
+                assert theta_function(dia, m, basepoint=bp) == theta, \
+                    (name, principal, m, bp)
+
+
+def test_bend_point_on_several_walls():
+    # the path x0 + s (2, -1, 0) runs inside the hyperplane of the ray
+    # wall {x2 = 0, x1 = 0, x0 >= 0} and bends on the line x1 = 0 at
+    # (1, 0, 0), the ray's point
+    line = Wall((0, 1, 0), (0, 0, 1), {1: 1}, (1, 0), 1, "line")
+    ray = Wall((0, 0, 1), (-1, 0, 0), {1: 1}, (1, 1), 1, "ray")
+    dia = ScatteringDiagram([line, ray], 3, 4, unfrozen=(0, 1))
+    with pytest.raises(NonGenericEndpoint, match="bend point on several"):
+        enumerate_broken_lines(dia, (3, -1, 0), (-1, 1, 0), 1)
+
+
+def test_path_through_wall_intersection():
+    walls = [Wall((1, 0), (0, 1), {1: 1}, (1,), 1, "line"),
+             Wall((0, 1), (-1, 0), {1: 1}, (1,), 1, "line")]
+    dia = ScatteringDiagram(walls, 2, 4)
+    with pytest.raises(NonGenericEndpoint, match="wall intersection"):
+        enumerate_broken_lines(dia, (-1, -1), (1, 1), 2)
+
+
+def test_broken_lines_carry_wall_values(monkeypatch):
+    # the walls are evaluated once at the endpoint; bends reuse the values
+    dia = a2_diagram()
+    rational = []
+    real_vdot = scattering.vdot
+
+    def vdot(a, b):
+        if any(Fraction(c).denominator != 1 for c in b):
+            rational.append(b)
+        return real_vdot(a, b)
+
+    monkeypatch.setattr(scattering, "vdot", vdot)
+    lines, exact = enumerate_broken_lines(
+        dia, (-2, 1), (Fraction(3, 2), Fraction(5, 7)), 10)
+    assert exact and any(len(ln.segments) > 1 for ln in lines)
+    assert len(rational) == len(dia.walls)
+
+
+def test_endpoint_of_wrong_length_is_rejected():
+    dia = a2_diagram()
+    for point in ((Fraction(3, 2),), (Fraction(3, 2), 1, 1)):
+        with pytest.raises(BadParams):
+            theta_function(dia, (-1, 0), basepoint=point)
+        with pytest.raises(BadParams):
+            enumerate_broken_lines(dia, (-1, 0), point, 10)
+
+
+def test_diagram_without_mutable_directions():
+    dia, fx = gr36_fixture_diagram()
+    p = tuple(fx["valuations"]["124"])
+    q = tuple(fx["valuations"]["356"])
+    for call in (lambda: theta_function(dia, p),
+                 lambda: theta_function(dia, p, basepoint=(1,) * 9),
+                 lambda: loop_defect(dia), lambda: is_consistent(dia),
+                 lambda: path_ordered_product([(1, 1), (-1, 1)], dia),
+                 lambda: complete_rank2(dia)):
+        with pytest.raises(BadParams):
+            call()
+    pq = tuple(a + b for a, b in zip(p, q))
+    assert structure_constant(dia, p, q, pq, 8) == 1
+
