@@ -8,8 +8,8 @@ equations and never silently dropped.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import BadParams, EmptyInput, Unbounded
@@ -309,21 +309,94 @@ def slice_cone(cone, fiber):
     return convex_hull(verts)
 
 
+def _integer_rows(rows, dim, equal):
+    """Rows (n, b) scaled to integer coefficients and grouped by their last
+    nonzero coordinate k as (n[:k+1], rhs) pairs; None if some row admits
+    no integer point at all.  On integer points n.x is an integer, so an
+    inequality's scaled right-hand side is rounded up, and an equation
+    whose scaled right-hand side is not integral has no solution."""
+    groups = [[] for _ in range(dim)]
+    for n, b in rows:
+        den = math.lcm(*(q.denominator for q in n))
+        a = [int(q * den) for q in n]
+        rhs = b * den
+        if equal:
+            if rhs.denominator != 1:
+                return None
+            rhs = int(rhs)
+        else:
+            rhs = math.ceil(rhs)
+        k = max((i for i, c in enumerate(a) if c), default=-1)
+        if k < 0:
+            if rhs > 0 or (equal and rhs):
+                return None
+            continue
+        groups[k].append((tuple(a[:k + 1]), rhs))
+    return groups
+
+
+def _axis(lo, hi, ineqs, eqs, x):
+    """Integer values of coordinate len(x) within [lo, hi] that the rows
+    ending there allow, given the fixed prefix x.  Each row a has
+    len(x) + 1 entries, so map() pairs the prefix with all but a[-1]."""
+    for a, c in ineqs:
+        s = c - sum(map(operator.mul, a, x))
+        t = a[-1]
+        if t > 0:
+            lo = max(lo, -(-s // t))
+        else:
+            hi = min(hi, s // t)
+    for a, c in eqs:
+        s = c - sum(map(operator.mul, a, x))
+        t = a[-1]
+        if s % t:
+            return iter(())
+        lo = max(lo, s // t)
+        hi = min(hi, s // t)
+    return iter(range(lo, hi + 1))
+
+
 def lattice_points(p, limit=5_000_000):
     """All integer points of a bounded polytope, in canonical order.
 
-    The bounding box is walked lazily, so only the points inside are kept."""
+    A depth-first walk over the coordinates of the bounding box: each facet
+    and equation, in integer form, bounds the coordinate where its last
+    nonzero entry sits, so the walk never visits a box point that a row
+    already excludes."""
     if p.is_empty():
         return []
     box = []
     total = 1
     for i in range(p.dim):
         vals = [v[i] for v in p.vertices]
-        box.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
-        total *= len(box[-1])
+        box.append((math.ceil(min(vals)), math.floor(max(vals))))
+        total *= max(box[-1][1] - box[-1][0] + 1, 0)
         if total > limit:
             raise BadParams("bounding box too large for enumeration")
-    return [q for q in itertools.product(*box) if p.contains(q)]
+    ineqs = _integer_rows(p.facets, p.dim, False)
+    eqs = _integer_rows(p.equations, p.dim, True)
+    if ineqs is None or eqs is None:
+        return []
+    if not p.dim:
+        return [()]
+    pts = []
+    x = []
+    stack = [_axis(*box[0], ineqs[0], eqs[0], x)]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            if x:
+                x.pop()
+            continue
+        x.append(v)
+        i = len(x)
+        if i == p.dim:
+            pts.append(tuple(x))
+            x.pop()
+        else:
+            stack.append(_axis(*box[i], ineqs[i], eqs[i], x))
+    return pts
 
 
 def verify_unimodular(p, q, u, shift):

@@ -402,7 +402,11 @@ def loop_defect(dia, order=None):
     """Degree-graded defect of the full loop on a generic probe monomial:
     {offset: coefficient} with the identity part removed."""
     dia = dia.at_order(order)
-    k1, k2 = _mutable(dia)
+    ks = _mutable(dia)
+    if len(ks) <= 1:
+        # a single wall crossed twice cancels: nothing to report
+        return {}
+    k1, k2 = ks
     base = tuple(1 if i in (k1, k2) else 0 for i in range(dia.dim))
     poly = _apply_crossings(dia, _crossings(dia, _generic_loop_dirs(dia)),
                             base)

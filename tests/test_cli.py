@@ -275,6 +275,10 @@ GOLDEN_CASES = {
     "gr_nobody_gvec_unimodular": [
         "gr", "nobody", "--k", "3", "--n", "6", "--side", "gvec",
         "--check-unimodular"],
+    "poly_points": ["poly", "points", "--polytope", POLYTOPE],
+    # a rational quadrilateral on the plane 2x + y - z = 1
+    "poly_points_plane": [
+        "poly", "points", "--polytope", str(INPUTS / "polytope_plane.json")],
 }
 for _flavor in ("A", "X"):
     for _conv in ("T", "t"):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ctrop import linalg
-from ctrop.errors import EmptyInput, Unbounded
-from ctrop.grassmannian import GrData, homogenized_g, hook_g_vector
+from ctrop.errors import BadParams, EmptyInput, Unbounded
+from ctrop.grassmannian import GrData, homogenized_g, hook_g_vector, no_body
 from ctrop.linalg import Mat, independent_rows, vdot, vec
 from ctrop.polytopes import (AffineSubspace, Cone, Polytope, convex_hull,
                              lattice_points, slice_cone, superpotential_cone,
@@ -105,20 +105,71 @@ def test_lattice_points_examples():
     assert lattice_points(Polytope([], [], [], 2)) == []
 
 
+def _box_lattice_points(p):
+    """Reference: every point of the bounding box, kept if p contains it."""
+    box = [range(math.ceil(min(v[i] for v in p.vertices)),
+                 math.floor(max(v[i] for v in p.vertices)) + 1)
+           for i in range(p.dim)]
+    return [q for q in itertools.product(*box) if p.contains(q)]
+
+
+def test_lattice_points_rows_without_coordinates():
+    # rows with a zero normal hold for every point or for none; a
+    # zero-dimensional polytope has the empty tuple as its one point
+    half = Fraction(1, 2)
+    for p in (Polytope([(0, 0), (2, 1)], [((0, 0), -1)], [((0, 0), 0)], 2),
+              Polytope([(0, 0), (2, 1)], [((0, 0), half)], [], 2),
+              Polytope([(0, 0), (2, 1)], [], [((0, 0), half)], 2),
+              Polytope([()], [], [], 0), Polytope([()], [((), 1)], [], 0)):
+        assert lattice_points(p) == _box_lattice_points(p)
+
+
 def test_lattice_points_brute_force():
     rng = random.Random(21)
-    for _ in range(5):
-        pts = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(6)]
+    reach = {1: 6, 2: 5, 3: 3, 4: 2, 5: 1}
+    flat = 0
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+
+        def rat():
+            return Fraction(rng.randint(-reach[dim], reach[dim]),
+                            rng.choice((1, 1, 2, 3)))
+        if dim > 1 and rng.random() < 0.3:
+            # rational points on an affine subspace of lower dimension
+            base = [rat() for _ in range(dim)]
+            dirs = [[rng.randint(-1, 1) for _ in range(dim)]
+                    for _ in range(rng.randint(1, min(2, dim - 1)))]
+            pts = [tuple(b + sum(rng.randint(-1, 1) * d[i] for d in dirs)
+                         for i, b in enumerate(base))
+                   for _ in range(dim + 2)]
+        else:
+            pts = [tuple(rat() for _ in range(dim))
+                   for _ in range(rng.randint(1, dim + 3))]
         p = convex_hull(pts)
-        got = set(lattice_points(p))
-        lo = [min(v[i] for v in p.vertices) for i in range(3)]
-        hi = [max(v[i] for v in p.vertices) for i in range(3)]
-        brute = set()
-        for q in itertools.product(*[range(math.ceil(a), math.floor(b) + 1)
-                                     for a, b in zip(lo, hi)]):
-            if p.contains(q):
-                brute.add(q)
-        assert got == brute
+        flat += bool(p.equations)
+        for q in (p, p.scale(Fraction(3, 2)),
+                  p.translate([Fraction(1, 3)] * dim)):
+            assert lattice_points(q) == _box_lattice_points(q)
+    assert flat >= 50
+    # rational polytopes with no lattice point: a triangle inside a unit
+    # square, and a triangle on the plane x + y + z = 1/2
+    third = Fraction(1, 3)
+    for p in (convex_hull([(third, third), (2 * third, third),
+                           (third, 2 * third)]),
+              convex_hull([(Fraction(1, 2), 0, 0), (0, Fraction(1, 2), 0),
+                           (-2, 2, Fraction(1, 2))])):
+        assert _box_lattice_points(p) == [] == lattice_points(p)
+
+
+def test_lattice_points_closed_form_counts():
+    # semistandard tableaux of the k x L rectangle with entries <= n
+    # (Stanley's hook-content formula): 980 for Gr(3,6) at L=3, C(7,4) = 35
+    # for Gr(4,7) at L=1
+    assert len(lattice_points(no_body(3, 6, "flow").scale(3))) == 980
+    assert len(lattice_points(no_body(4, 7, "flow"))) == 35
+    with pytest.raises(BadParams,
+                       match="^bounding box too large for enumeration$"):
+        lattice_points(no_body(3, 6, "flow").scale(2), limit=100)
 
 
 def test_verify_unimodular():

@@ -343,3 +343,12 @@ def test_diagram_without_mutable_directions():
     pq = tuple(a + b for a, b in zip(p, q))
     assert structure_constant(dia, p, q, pq, 8) == 1
 
+
+
+def test_one_mutable_direction_has_no_loop_defect():
+    # one wall, crossed there and back: consistent, and the defect is empty
+    fd = FixedData(2, {0}, Mat([[0, 1], [-1, 0]]), (1, 1))
+    dia = initial_diagram(fd, ensemble_map(fd), 4)
+    assert is_consistent(dia)
+    assert loop_defect(dia) == {}
+    assert loop_defect(dia, 2) == {}
