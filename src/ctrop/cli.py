@@ -93,22 +93,26 @@ def _emit(payload, args):
     sys.stdout.write("\n")
 
 
-def _ints(text):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.replace("(", " ").replace(")", " ")
-                 .replace(",", " ").split())
+def _int(text, whole):
+    """int(text); BadParams naming the option value `whole` otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParams("malformed integer %r in %r" % (text, whole))
+
+
+def _ints(text, whole=None):
+    """Integers separated by commas, spaces or parentheses."""
+    return tuple(_int(x, whole or text) for x in text.replace("(", " ")
+                 .replace(")", " ").replace(",", " ").split())
 
 
 def _label(text):
     """Parse a theta label: either 'a,b,...' or 'c(a,b,...)'."""
-    text = text.strip()
     if "(" in text:
         scale, rest = text.split("(", 1)
-        scale = int(scale) if scale.strip() else 1
-        inner = _ints(rest.rstrip(")"))
-        return tuple(scale * x for x in inner)
+        scale = _int(scale, text) if scale.strip() else 1
+        return tuple(scale * x for x in _ints(rest.rstrip(")"), text))
     return _ints(text)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import EmptyInput, RankError
 
@@ -40,7 +41,7 @@ def vscale(c, a):
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def is_zero(a):

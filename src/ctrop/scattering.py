@@ -57,13 +57,17 @@ class Wall:
     def power_terms(self, power, kmax):
         """Coefficients {j: a_j} of f^power = sum a_j z^(j g), j <= kmax, by
         J. C. P. Miller's recurrence n a_n = sum_k ((power+1) k - n) c_k
-        a_(n-k) (Knuth, TAOCP Vol. 2, 4.7)."""
-        a = [Fraction(1)]
+        a_(n-k) (Knuth, TAOCP Vol. 2, 4.7).  With c_k = C_k / L over the
+        common denominator L, the integers A_n = L^n a_n satisfy the same
+        recurrence with C_k L^(k-1) in place of c_k."""
+        den = lcm(*(c.denominator for c in self.series.values()))
+        scaled = [(k, int(c * den) * den ** (k - 1))
+                  for k, c in self.series.items()]
+        a = [1]
         for n in range(1, kmax + 1):
-            a.append(Fraction(sum(((power + 1) * k - n) * c * a[n - k]
-                                  for k, c in self.series.items() if k <= n),
-                              n))
-        return {j: c for j, c in enumerate(a) if c != 0}
+            a.append(sum(((power + 1) * k - n) * c * a[n - k]
+                         for k, c in scaled if k <= n) // n)
+        return {j: Fraction(c, den ** j) for j, c in enumerate(a) if c}
 
     def to_json(self):
         kmax = self.max_k()
@@ -96,6 +100,7 @@ class ScatteringDiagram:
         self.fd = fd
         self.p = p
         self._offset_cache = {}
+        self._ray_dirs = {}
         self._depth = None
 
     def at_order(self, order):
@@ -112,19 +117,27 @@ class ScatteringDiagram:
         return tuple(x[i] for i in self.unfrozen)
 
     def ray_dir(self, wall):
-        """Outgoing (integer) direction of a ray wall in the 2d shadow."""
-        return tuple(-x for x in self.proj(wall.g))
+        """Outgoing (integer) direction of a ray wall in the 2d shadow,
+        kept per wall after first use."""
+        u = self._ray_dirs.get(wall)
+        if u is None:
+            u = self._ray_dirs[wall] = tuple(-x for x in self.proj(wall.g))
+        return u
 
     def on_wall(self, x, h):
         """Indices of walls whose support contains the point x, where h[i]
-        is the value of wall i's functional at x."""
+        is the value of wall i's functional at x.  The answer is the same
+        for (c x, c h) with c > 0, so an integer point over a denominator
+        may pass its numerators."""
         return [i for i, w in enumerate(self.walls)
                 if h[i] == 0 and (w.kind == "line"
                                   or _on_ray(self.proj(x), self.ray_dir(w)))]
 
     def _depth_generators(self):
-        """(generator columns, degrees), built on the first depth query and
-        kept on the diagram."""
+        """(E, r, den, degrees) for the generator columns G = (g_1..g_r):
+        one elimination of [G | I] gives the invertible integer matrix E
+        with E G = den [I_r; 0].  Built on the first depth query and kept
+        on the diagram."""
         if self._depth is not None:
             return self._depth
         if self.fd is not None and self.unfrozen is not None:
@@ -136,11 +149,26 @@ class ScatteringDiagram:
                 if vec(w.g) not in gs:
                     gs.append(vec(w.g))
                     degs.append(w.deg)
-        m = Mat.from_cols(gs)
-        if m.rank() != len(gs):
+        r = len(gs)
+        rows, pivots = Mat([[g[i] for g in gs] + [int(i == j)
+                                                  for j in range(self.dim)]
+                            for i in range(self.dim)]).rref()
+        if pivots[:r] != list(range(r)):
             raise BadParams("wall exponent directions are dependent")
-        self._depth = m, degs
+        den = lcm(*(Fraction(x).denominator for row in rows for x in row))
+        E = [tuple(int(x * den) for x in row[r:]) for row in rows]
+        self._depth = E, r, den, degs
         return self._depth
+
+    def offset_coefficients(self, offset):
+        """Integer coefficients of an exponent offset on the generator
+        columns, or None if it is no integer combination of them: one
+        matrix-vector product, E offset = den (coefficients; zeros)."""
+        E, r, den, _ = self._depth_generators()
+        y = [vdot(row, offset) for row in E]
+        if any(y[r:]) or any(c % den for c in y[:r]):
+            return None
+        return [c // den for c in y[:r]]
 
     def offset_depth(self, offset):
         """N_uf^+-degree of an exponent offset in the positive cone of the
@@ -148,12 +176,12 @@ class ScatteringDiagram:
         offset = tuple(offset)
         if offset in self._offset_cache:
             return self._offset_cache[offset]
-        mat, degs = self._depth_generators()
-        sol = mat.solve(vec(offset))
-        if sol is None or any(Fraction(x).denominator != 1 or x < 0 for x in sol):
+        sol = self.offset_coefficients(offset)
+        if sol is None or any(c < 0 for c in sol):
             d = None
         else:
-            d = int(sum(c * w for c, w in zip(sol, degs)))
+            degs = self._depth_generators()[3]
+            d = sum(c * w for c, w in zip(sol, degs))
         self._offset_cache[offset] = d
         return d
 
@@ -453,8 +481,6 @@ def complete_rank2(dia, order=None):
     if out.fd.epsilon().rows[k1][k2] == 0:
         return out
     base = tuple(1 if i in (k1, k2) else 0 for i in range(out.dim))
-    gs = Mat.from_cols([vec(out.fd.epsilon().rows[k1]),
-                        vec(out.fd.epsilon().rows[k2])])
     ray_index = {}
 
     for deg in range(2, order + 1):
@@ -465,9 +491,7 @@ def complete_rank2(dia, order=None):
                 break
             for off in sorted(defect):
                 c = defect[off]
-                sol = gs.solve(vec(off))
-                a_full, b_full = int(sol[0]), int(sol[1])
-                a, b, k = _primitive_pair(a_full, b_full)
+                a, b, k = _primitive_pair(*out.offset_coefficients(off))
                 idx = ray_index.get((a, b))
                 if idx is None:
                     w = _ray_wall(out, a, b, {})
@@ -531,32 +555,42 @@ class BrokenLine:
             self.initial_exponent, self.final(), self.endpoint)
 
 
-def _segment_crossings(dia, x, h, v):
-    """Wall crossings along the open ray {x + s v : s > 0}, where h holds
-    every wall functional's value at x: sorted list of (s, wall index,
-    point, values at the point).  Raises NonGenericEndpoint on joint hits."""
+def _segment_crossings(dia, x, v):
+    """Wall crossings along the open ray {X/D + s v : s > 0} from the point
+    x = (X, D, H): integer numerators X over one denominator D > 0, with
+    H[i] = phi_i·X, so wall i has the value H[i]/D there.  Wall i is
+    crossed at s = -H[i] / (D phi_i·v), which is positive only when H[i]
+    and phi_i·v have opposite signs; every other wall is skipped before an
+    s is formed.  Returns the crossings sorted by s as (s, wall index,
+    point there in the same form).  Raises NonGenericEndpoint on joint
+    hits and where two walls are crossed at once."""
+    X, D, H = x
     dens = [vdot(w.phi, v) for w in dia.walls]
     found = []
-    for i, w in enumerate(dia.walls):
-        if dens[i] == 0:
+    for i, (w, hi, d) in enumerate(zip(dia.walls, H, dens)):
+        if hi * d >= 0:
             continue
-        s = Fraction(h[i], -dens[i])
-        if s <= 0:
-            continue
+        # the crossing point, scaled by D |d| > 0, is |d| X + sh v
+        ad, sh = (d, -hi) if d > 0 else (-d, hi)
         if w.kind == "ray":
-            yp = tuple(a + s * b for a, b in zip(dia.proj(x), dia.proj(v)))
+            yp = tuple(ad * X[k] + sh * v[k] for k in dia.unfrozen)
             if not any(yp):
                 raise NonGenericEndpoint("path through a joint")
             if not _on_ray(yp, dia.ray_dir(w)):
                 continue
-        found.append((s, i))
+        found.append((Fraction(hi, -D * d), i, ad, sh))
     found.sort()
-    for (s1, _), (s2, _) in zip(found, found[1:]):
+    for (s1, *_), (s2, *_) in zip(found, found[1:]):
         if s1 == s2:
             raise NonGenericEndpoint("path through a wall intersection")
-    return [(s, i, tuple(a + s * b for a, b in zip(x, v)),
-             tuple(a + s * b for a, b in zip(h, dens)))
-            for s, i in found]
+    out = []
+    for s, i, ad, sh in found:
+        Y = [ad * a + sh * b for a, b in zip(X, v)]
+        g = gcd(*Y, D * ad)
+        out.append((s, i, (tuple(a // g for a in Y), D * ad // g,
+                           tuple((ad * a + sh * b) // g
+                                 for a, b in zip(H, dens)))))
+    return out
 
 
 def _offset_candidates(dia, bound):
@@ -595,6 +629,37 @@ def _label(dia, m):
     return _sized(dia, m, "label %r" % (m,))
 
 
+def _walk(dia, m, x, v, later, bends, results):
+    """Follow broken lines with initial exponent m backwards from the point
+    x = (X, D, H) of _segment_crossings, against the exponent v, and append
+    the segments of each one that reaches its initial ray to results.
+    `later` holds (exponent, wall, bend point, factor) for the segments
+    after the current one, in reverse path order; `bends` keeps the
+    bending terms per (wall index, power, kmax) for one enumeration.  A
+    module-level function, so no call leaves a reference cycle behind."""
+    rem = dia.offset_depth(tuple(a - b for a, b in zip(v, m)))
+    if rem is None:
+        return
+    if rem == 0:
+        # certify that the initial ray is clean
+        _segment_crossings(dia, x, v)
+        results.append([(m, None, None, Fraction(1))] + list(reversed(later)))
+        return
+    for _, i, y in _segment_crossings(dia, x, v):
+        w = dia.walls[i]
+        if dia.on_wall(y[0], y[2]) != [i]:
+            raise NonGenericEndpoint("bend point on several walls")
+        key = (i, abs(vdot(w.phi, v)), rem // w.deg)
+        terms = bends.get(key)
+        if terms is None:
+            # the terms j >= 1; a_0 = 1 comes first
+            terms = bends[key] = sorted(w.power_terms(*key[1:]).items())[1:]
+        pt = tuple(Fraction(a, y[1]) for a in y[0])
+        for j, c in terms:
+            prev = tuple(a - j * b for a, b in zip(v, w.g))
+            _walk(dia, m, y, prev, later + [(v, i, pt, c)], bends, results)
+
+
 def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
     """All generic broken lines with the given initial exponent and
     endpoint, bending depth at most degree_bound.  Returns (lines,
@@ -607,37 +672,18 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
     h0 = tuple(vdot(w.phi, x0) for w in dia.walls)
     if dia.on_wall(x0, h0):
         raise NonGenericEndpoint("endpoint lies on a wall")
+    # the endpoint on one common denominator (see _segment_crossings)
+    den = lcm(*(Fraction(a).denominator for a in x0))
+    start = (tuple(int(a * den) for a in x0), den,
+             tuple(int(a * den) for a in h0))
     results = []
-
-    def walk(x, h, v, later):
-        # h: the wall functionals' values at x.  `later` collects
-        # (exponent, wall, bend point, factor) for the segments after the
-        # current one, in reverse path order.
-        rem = dia.offset_depth(tuple(a - b for a, b in zip(v, m)))
-        if rem is None:
-            return
-        if rem == 0:
-            # certify that the initial ray is clean
-            _segment_crossings(dia, x, h, v)
-            segs = [(m, None, None, Fraction(1))] + list(reversed(later))
-            results.append(segs)
-            return
-        for s, i, y, hy in _segment_crossings(dia, x, h, v):
-            w = dia.walls[i]
-            if dia.on_wall(y, hy) != [i]:
-                raise NonGenericEndpoint("bend point on several walls")
-            terms = w.power_terms(abs(vdot(w.phi, v)), rem // w.deg)
-            for j in sorted(terms):
-                if j == 0:
-                    continue
-                prev = tuple(a - j * b for a, b in zip(v, w.g))
-                walk(y, hy, prev, later + [(v, i, y, terms[j])])
-
+    # (wall index, power, kmax) -> the terms (j, a_j), j >= 1, of f^power
+    bends = {}
     for off, d in sorted(_offset_candidates(dia, bound).items()):
         v0 = tuple(a + b for a, b in zip(m, off))
         if not any(v0):
             continue
-        walk(x0, h0, v0, [])
+        _walk(dia, m, start, v0, [], bends, results)
 
     lines = []
     hit_bound = False

@@ -79,6 +79,18 @@ def test_scatter_theta_label_of_wrong_length_is_domain_error(capsys):
                        "running-example", "--label=1,-1", "--principal")
 
 
+@pytest.mark.parametrize("argv", [
+    ("scatter", "theta", "--fixture", "a2", "--label=1,x"),
+    ("scatter", "theta", "--fixture", "a2", "--label=2(1,q"),
+    ("scatter", "theta", "--fixture", "a2", "--label=y(1,0)"),
+    ("scatter", "alpha", "--fixture", "a2", "--p=-1,0", "--q=1,0",
+     "--r=1,y"),
+    ("gr", "val", "--k", "2", "--n", "5", "--J=1,a"),
+], ids=["label", "scaled_label", "label_scale", "alpha_r", "gr_J"])
+def test_malformed_integer_option_is_domain_error(capsys, argv):
+    assert _bad_params(capsys, *argv)
+
+
 def _transport_poly(tmp_path, capsys, terms):
     f = tmp_path / "poly.json"
     f.write_text(json.dumps(terms))
@@ -263,6 +275,9 @@ GOLDEN_CASES = {
         "scatter", "theta", "--fixture", "a2", "--label=-1,0"],
     "scatter_theta_kronecker": [
         "scatter", "theta", "--fixture", "kronecker", "--label=-1,1"],
+    # 7 terms from broken lines with up to three bends
+    "scatter_theta_kronecker_bends": [
+        "scatter", "theta", "--fixture", "kronecker", "--label=1,-2"],
     "scatter_theta_on_x": [
         "scatter", "theta", "--fixture", "running-example",
         "--label", "2(-1,-2)", "--on-x"],
@@ -272,6 +287,13 @@ GOLDEN_CASES = {
     "scatter_alpha_running": [
         "scatter", "alpha", "--fixture", "running-example", "--p=-1,1",
         "--q=0,-1", "--r=-1,0"],
+    # the p lines bend up to three times near r
+    "scatter_alpha_kronecker": [
+        "scatter", "alpha", "--fixture", "kronecker", "--p=1,-1",
+        "--q=-1,0", "--r=0,-1"],
+    # a malformed integer in an option value is a domain error
+    "scatter_theta_malformed_label": [
+        "scatter", "theta", "--fixture", "a2", "--label=2(1,x"],
     "gr_nobody_gvec_unimodular": [
         "gr", "nobody", "--k", "3", "--n", "6", "--side", "gvec",
         "--check-unimodular"],

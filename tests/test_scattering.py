@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -352,3 +354,106 @@ def test_one_mutable_direction_has_no_loop_defect():
     assert is_consistent(dia)
     assert loop_defect(dia) == {}
     assert loop_defect(dia, 2) == {}
+
+
+def _fraction_crossings(dia, x, h, v):
+    """Reference crossings of the ray {x + s v : s > 0} on Fractions, where
+    h holds every wall's value at x: s = -h_i / phi_i·v for every wall
+    with phi_i·v != 0; (s, wall index, point, values at the point) for
+    the crossings at s > 0, sorted."""
+    dens = [sum(a * b for a, b in zip(w.phi, v)) for w in dia.walls]
+    found = []
+    for i, w in enumerate(dia.walls):
+        if dens[i] == 0:
+            continue
+        s = Fraction(h[i], -dens[i])
+        if s <= 0:
+            continue
+        if w.kind == "ray":
+            yp = tuple(a + s * b for a, b in zip(dia.proj(x), dia.proj(v)))
+            if not any(yp):
+                raise NonGenericEndpoint("path through a joint")
+            if not scattering._on_ray(yp, dia.ray_dir(w)):
+                continue
+        found.append((s, i))
+    found.sort()
+    for (s1, _), (s2, _) in zip(found, found[1:]):
+        if s1 == s2:
+            raise NonGenericEndpoint("path through a wall intersection")
+    return [(s, i, tuple(a + s * b for a, b in zip(x, v)),
+             tuple(a + s * b for a, b in zip(h, dens)))
+            for s, i in found]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NonGenericEndpoint as exc:
+        return "NonGenericEndpoint: %s" % exc
+
+
+def test_integer_crossings_match_fraction_reference():
+    # the integer kernel against the Fraction one on random rational
+    # points and directions, and on rays sent through a joint or through
+    # the meeting of two walls
+    rng = random.Random(11)
+    errors = set()
+    diagrams = [fixture_diagram(name, 8, False)[0]
+                for name in ("a2", "running-example", "kronecker")]
+    for dia in diagrams + [gr36_fixture_diagram()[0]]:
+        phis = [w.phi for w in dia.walls]
+        meets = [Mat([phis[a], phis[b]]).kernel()
+                 for a in range(len(phis)) for b in range(a + 1, len(phis))]
+        for trial in range(300):
+            v = tuple(rng.randint(-3, 3) for _ in range(dia.dim))
+            x = [Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                 for _ in range(dia.dim)]
+            if trial % 3:
+                # send the ray through a point of two walls at s0 > 0: a
+                # joint in the rank-2 diagrams, where the walls' normals
+                # span the mutable coordinates
+                z = [Fraction(0)] * dia.dim
+                for kv in rng.choice(meets):
+                    c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    z = [a + c * b for a, b in zip(z, kv)]
+                s0 = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                x = [a - s0 * b for a, b in zip(z, v)]
+            x = tuple(x)
+            h = tuple(sum(a * b for a, b in zip(p, x)) for p in phis)
+            den = lcm(*(a.denominator for a in x))
+            X = tuple(int(a * den) for a in x)
+            H = tuple(sum(a * b for a, b in zip(p, X)) for p in phis)
+            want = _outcome(lambda: _fraction_crossings(dia, x, h, v))
+            got = _outcome(lambda: scattering._segment_crossings(
+                dia, (X, den, H), v))
+            if isinstance(want, str):
+                assert got == want, (x, v)
+                errors.add(want)
+                continue
+            assert [(s, i) for s, i, _ in got] == \
+                [(s, i) for s, i, _, _ in want]
+            for (_, _, (Y, D, HY)), (_, _, y, hy) in zip(got, want):
+                # the point in lowest terms, and its wall values
+                assert D > 0 and gcd(*Y, D) == 1
+                assert tuple(Fraction(a, D) for a in Y) == y
+                assert tuple(Fraction(a, D) for a in HY) == hy
+    assert errors == {"NonGenericEndpoint: path through a joint",
+                      "NonGenericEndpoint: path through a wall intersection"}
+
+
+def test_power_terms_once_per_wall_power_and_depth(monkeypatch):
+    # one enumeration asks each wall for f^power to a given depth once,
+    # however many bends of its lines need it
+    dia, _ = fixture_diagram("kronecker", 8, False)
+    calls = Counter()
+    real = Wall.power_terms
+
+    def power_terms(self, power, kmax):
+        calls[(self, power, kmax)] += 1
+        return real(self, power, kmax)
+
+    monkeypatch.setattr(Wall, "power_terms", power_terms)
+    lines, exact = enumerate_broken_lines(
+        dia, (1, -2), (Fraction(3, 2), Fraction(5, 7)), 8)
+    assert exact and len(lines) == 7
+    assert calls and max(calls.values()) == 1
