@@ -141,6 +141,8 @@ def cmd_trop_map(args):
     word = _ints(args.word)
     if args.point is not None:
         pt = TropicalPoint((), vec(_ints(args.point)), args.convention)
+        if len(pt.coords) != fd.n:
+            raise BadParams("--point needs %d coordinates" % fd.n)
         cur = fd.initial_seed()
         for k in word:
             pt = trop_mutate(pt, k, cur, args.flavor)
@@ -149,6 +151,8 @@ def cmd_trop_map(args):
                "convention": pt.conv}, args)
         return
     poly = _load_polytope(args.polytope)
+    if poly.dim != fd.n:
+        raise BadParams("--polytope needs dimension %d" % fd.n)
     plmap = PLMap.from_mutations(fd.seed(()), word, args.flavor,
                                  args.convention)
     img, report = apply_pl_to_polytope(plmap, poly)
@@ -275,8 +279,9 @@ def build_parser():
     tm.add_argument("--word", default="")
     tm.add_argument("--flavor", choices=["A", "X"], default="A")
     tm.add_argument("--convention", choices=["T", "t"], default="T")
-    tm.add_argument("--point")
-    tm.add_argument("--polytope")
+    what = tm.add_mutually_exclusive_group(required=True)
+    what.add_argument("--point")
+    what.add_argument("--polytope")
     tm.set_defaults(func=cmd_trop_map)
 
     poly = sub.add_parser("poly").add_subparsers(dest="sub", required=True)
@@ -344,7 +349,7 @@ def build_parser():
 
     ac = sub.add_parser("accept").add_subparsers(dest="sub", required=True)
     ar = ac.add_parser("run")
-    ar.add_argument("--id", type=int)
+    ar.add_argument("--id", type=int, choices=sorted(acceptance.CRITERIA))
     ar.set_defaults(func=cmd_accept_run)
 
     return top

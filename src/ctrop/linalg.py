@@ -9,7 +9,7 @@ floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import EmptyInput, RankError
@@ -48,19 +48,19 @@ def is_zero(a):
     return all(x == 0 for x in a)
 
 
+def integer_scale(a):
+    """(den, ints) for a vector of ints and Fractions: den the least
+    positive integer with den * a integral, and ints = den * a."""
+    den = lcm(*(x.denominator for x in a))
+    return den, tuple(x.numerator * (den // x.denominator) for x in a)
+
+
 def clear_denominators(a):
-    """Scale a rational vector to a primitive integer vector (positive lead)."""
-    den = 1
-    for x in a:
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(Fraction(x) * den) for x in a]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    """Scale a rational vector to a primitive integer vector with the same
+    direction."""
+    ints = integer_scale(a)[1]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else ints
 
 
 def independent_rows(rows):
@@ -72,11 +72,13 @@ def independent_rows(rows):
 class Mat:
     """Dense exact matrix over the rationals.
 
-    A Mat is immutable, so its reduced echelon form and its inverse are
-    computed on first use and kept in slots of their own.
+    A Mat is immutable, so its reduced echelon form (with the determinant
+    factor of the elimination) and the integer transform of one
+    elimination of [A | I] are computed on first use and kept in slots of
+    their own; solve, inverse and det read them.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_rref", "_inverse")
+    __slots__ = ("rows", "nrows", "ncols", "_rref", "_transform")
 
     def __init__(self, rows):
         self.rows = tuple(vec(r) for r in rows)
@@ -86,7 +88,7 @@ class Mat:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix")
         self._rref = None
-        self._inverse = None
+        self._transform = None
 
     @staticmethod
     def identity(n):
@@ -147,15 +149,18 @@ class Mat:
         The lists are fresh on every call; the form itself is computed once
         per matrix."""
         if self._rref is None:
-            rows, pivots = self._eliminate()
-            self._rref = tuple(tuple(r) for r in rows), tuple(pivots)
+            rows, pivots, det = self._eliminate()
+            self._rref = tuple(tuple(r) for r in rows), tuple(pivots), det
             return rows, pivots
-        rows, pivots = self._rref
+        rows, pivots, _ = self._rref
         return [list(r) for r in rows], list(pivots)
 
     def _eliminate(self):
+        """Gauss-Jordan elimination: (rows, pivots, det), det the signed
+        product of the pivots (the determinant if square of full rank)."""
         rows = [list(r) for r in self.rows]
         pivots = []
+        det = Fraction(1)
         pr = 0
         for pc in range(self.ncols):
             sel = None
@@ -165,7 +170,10 @@ class Mat:
                     break
             if sel is None:
                 continue
-            rows[pr], rows[sel] = rows[sel], rows[pr]
+            if sel != pr:
+                rows[pr], rows[sel] = rows[sel], rows[pr]
+                det = -det
+            det *= rows[pr][pc]
             inv = Fraction(1, 1) / rows[pr][pc]
             rows[pr] = [x * inv for x in rows[pr]]
             for r in range(len(rows)):
@@ -176,21 +184,36 @@ class Mat:
             pr += 1
             if pr == len(rows):
                 break
-        return rows, pivots
+        return rows, pivots, det
 
     def _echelon(self):
-        """The stored (rows, pivots) of the reduced echelon form, as
-        tuples; the first call eliminates through `rref`."""
+        """The stored (rows, pivots, det) of the elimination, as tuples;
+        the first call eliminates through `rref`."""
         if self._rref is None:
             self.rref()
         return self._rref
+
+    def _transformed(self):
+        """(E, den, pivots): the integer matrix E and least den > 0 with
+        E A = den R, R the reduced echelon form of A, and R's pivot
+        columns.  E is den times the right block of the elimination of
+        [A | I], so it is invertible and its rows past the rank annihilate
+        the column space."""
+        if self._transform is None:
+            n, m = self.ncols, self.nrows
+            rows, pivots = Mat([list(r) + [int(i == j) for j in range(m)]
+                                for i, r in enumerate(self.rows)]).rref()
+            den, flat = integer_scale([x for r in rows for x in r[n:]])
+            self._transform = ([flat[i:i + m] for i in range(0, m * m, m)],
+                               den, tuple(p for p in pivots if p < n))
+        return self._transform
 
     def rank(self):
         return len(self._echelon()[1])
 
     def kernel(self):
         """Basis of the right kernel, as primitive integer vectors."""
-        rows, pivots = self._echelon()
+        rows, pivots, _ = self._echelon()
         free = [j for j in range(self.ncols) if j not in pivots]
         basis = []
         for fc in free:
@@ -206,53 +229,29 @@ class Mat:
         if len(b) != self.nrows:
             raise ValueError("right-hand side has %d entries for %d rows"
                              % (len(b), self.nrows))
-        aug = Mat([list(r) + [bv] for r, bv in zip(self.rows, b)])
-        rows, pivots = aug._echelon()
-        if self.ncols in pivots:
+        E, den, pivots = self._transformed()
+        y = [vdot(row, b) for row in E]
+        if any(y[len(pivots):]):
             return None
+        # R x = E b / den, with the free variables at 0
         x = [Fraction(0)] * self.ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = rows[i][-1]
+        for pc, yi in zip(pivots, y):
+            x[pc] = Fraction(yi, den)
         return tuple(x)
 
     def inverse(self):
-        if self._inverse is None:
-            if self.nrows != self.ncols:
-                raise RankError("not square")
-            n = self.nrows
-            aug = Mat([list(r) + [1 if i == j else 0 for j in range(n)]
-                       for i, r in enumerate(self.rows)])
-            rows, pivots = aug._echelon()
-            if pivots != tuple(range(n)):
-                raise RankError("singular matrix")
-            self._inverse = Mat([r[n:] for r in rows[:n]])
-        return self._inverse
+        if self.nrows != self.ncols:
+            raise RankError("not square")
+        E, den, pivots = self._transformed()
+        if len(pivots) != self.nrows:
+            raise RankError("singular matrix")
+        return Mat([[Fraction(x, den) for x in row] for row in E])
 
     def det(self):
         if self.nrows != self.ncols:
             raise RankError("not square")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        sign = 1
-        d = Fraction(1)
-        for c in range(n):
-            sel = None
-            for r in range(c, n):
-                if rows[r][c] != 0:
-                    sel = r
-                    break
-            if sel is None:
-                return Fraction(0)
-            if sel != c:
-                rows[c], rows[sel] = rows[sel], rows[c]
-                sign = -sign
-            d *= rows[c][c]
-            inv = Fraction(1, 1) / rows[c][c]
-            for r in range(c + 1, n):
-                if rows[r][c] != 0:
-                    f = rows[r][c] * inv
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-        return d * sign
+        _, pivots, det = self._echelon()
+        return det if len(pivots) == self.nrows else Fraction(0)
 
 
 def dominance_compare(m1, m2, pstar_cols):
@@ -271,9 +270,7 @@ def dominance_compare(m1, m2, pstar_cols):
     if is_zero(delta):
         return EQUAL
     n = pstar_cols.solve(delta)
-    if n is None:
-        return INCOMPARABLE
-    if any(Fraction(x).denominator != 1 for x in n):
+    if n is None or any(x.denominator != 1 for x in n):
         return INCOMPARABLE
     if all(x >= 0 for x in n):
         return LESS
@@ -330,10 +327,8 @@ class TotalOrder:
         """Total order refining the dominance order with the given columns."""
         if pstar_cols.rank() != pstar_cols.ncols:
             raise RankError("refinement needs full column rank")
-        w = pstar_cols.transpose().solve([1] * pstar_cols.ncols)
-        if w is None:
-            raise RankError("no refining weight")
-        return TotalOrder(w)
+        # full column rank: the transpose is onto, so this always solves
+        return TotalOrder(pstar_cols.transpose().solve([1] * pstar_cols.ncols))
 
     def key(self, m):
         mv = vec(m)

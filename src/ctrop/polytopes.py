@@ -13,7 +13,8 @@ import operator
 from fractions import Fraction
 
 from .errors import BadParams, EmptyInput, Unbounded
-from .linalg import Mat, clear_denominators, independent_rows, vdot, vec
+from .linalg import (Mat, clear_denominators, independent_rows,
+                     integer_scale, vdot, vec)
 
 
 def _extreme_rays(rows, dim):
@@ -317,8 +318,7 @@ def _integer_rows(rows, dim, equal):
     whose scaled right-hand side is not integral has no solution."""
     groups = [[] for _ in range(dim)]
     for n, b in rows:
-        den = math.lcm(*(q.denominator for q in n))
-        a = [int(q * den) for q in n]
+        den, a = integer_scale(n)
         rhs = b * den
         if equal:
             if rhs.denominator != 1:
@@ -331,7 +331,7 @@ def _integer_rows(rows, dim, equal):
             if rhs > 0 or (equal and rhs):
                 return None
             continue
-        groups[k].append((tuple(a[:k + 1]), rhs))
+        groups[k].append((a[:k + 1], rhs))
     return groups
 
 

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from .errors import (BadParams, NonGenericEndpoint, NotInImage,
                      RankUnsupported, SingularPath, Truncated)
 from .laurent import LaurentPolynomial
-from .linalg import Mat, vdot, vec
+from .linalg import Mat, integer_scale, vdot, vec
 
 _PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
            71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
@@ -133,42 +133,33 @@ class ScatteringDiagram:
                 if h[i] == 0 and (w.kind == "line"
                                   or _on_ray(self.proj(x), self.ray_dir(w)))]
 
-    def _depth_generators(self):
-        """(E, r, den, degrees) for the generator columns G = (g_1..g_r):
-        one elimination of [G | I] gives the invertible integer matrix E
-        with E G = den [I_r; 0].  Built on the first depth query and kept
-        on the diagram."""
-        if self._depth is not None:
-            return self._depth
-        if self.fd is not None and self.unfrozen is not None:
-            gs = [vec(self.fd.epsilon().rows[k]) for k in self.unfrozen]
-            degs = [1] * len(gs)
-        else:
-            gs, degs = [], []
-            for w in self.walls:
-                if vec(w.g) not in gs:
-                    gs.append(vec(w.g))
-                    degs.append(w.deg)
-        r = len(gs)
-        rows, pivots = Mat([[g[i] for g in gs] + [int(i == j)
-                                                  for j in range(self.dim)]
-                            for i in range(self.dim)]).rref()
-        if pivots[:r] != list(range(r)):
-            raise BadParams("wall exponent directions are dependent")
-        den = lcm(*(Fraction(x).denominator for row in rows for x in row))
-        E = [tuple(int(x * den) for x in row[r:]) for row in rows]
-        self._depth = E, r, den, degs
+    def _generators(self):
+        """(G, degrees): the matrix whose columns are the exponent
+        directions depth is measured against (the p*_1 images of the
+        mutable basis vectors, or the distinct wall directions), and their
+        degrees.  Built on the first depth query and kept on the diagram."""
+        if self._depth is None:
+            if self.fd is not None and self.unfrozen is not None:
+                gs = [self.fd.epsilon().rows[k] for k in self.unfrozen]
+                degs = [1] * len(gs)
+            else:
+                gens = {}
+                for w in self.walls:
+                    gens.setdefault(w.g, w.deg)
+                gs, degs = list(gens), list(gens.values())
+            G = Mat([[g[i] for g in gs] for i in range(self.dim)])
+            if G.rank() != len(gs):
+                raise BadParams("wall exponent directions are dependent")
+            self._depth = G, degs
         return self._depth
 
     def offset_coefficients(self, offset):
         """Integer coefficients of an exponent offset on the generator
-        columns, or None if it is no integer combination of them: one
-        matrix-vector product, E offset = den (coefficients; zeros)."""
-        E, r, den, _ = self._depth_generators()
-        y = [vdot(row, offset) for row in E]
-        if any(y[r:]) or any(c % den for c in y[:r]):
+        columns, or None if it is no integer combination of them."""
+        sol = self._generators()[0].solve(offset)
+        if sol is None or any(c.denominator != 1 for c in sol):
             return None
-        return [c // den for c in y[:r]]
+        return [c.numerator for c in sol]
 
     def offset_depth(self, offset):
         """N_uf^+-degree of an exponent offset in the positive cone of the
@@ -180,7 +171,7 @@ class ScatteringDiagram:
         if sol is None or any(c < 0 for c in sol):
             d = None
         else:
-            degs = self._depth_generators()[3]
+            degs = self._generators()[1]
             d = sum(c * w for c, w in zip(sol, degs))
         self._offset_cache[offset] = d
         return d
@@ -673,9 +664,8 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
     if dia.on_wall(x0, h0):
         raise NonGenericEndpoint("endpoint lies on a wall")
     # the endpoint on one common denominator (see _segment_crossings)
-    den = lcm(*(Fraction(a).denominator for a in x0))
-    start = (tuple(int(a * den) for a in x0), den,
-             tuple(int(a * den) for a in h0))
+    den, X = integer_scale(x0)
+    start = (X, den, tuple(int(a * den) for a in h0))
     results = []
     # (wall index, power, kmax) -> the terms (j, a_j), j >= 1, of f^power
     bends = {}

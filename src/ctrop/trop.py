@@ -80,6 +80,9 @@ def trop_mutate(pt, k, s, flavor):
         raise FrozenIndex("frozen direction %r" % (k,))
     if pt.word != s.word:
         raise BadParams("point tagged with a different seed")
+    if len(pt.coords) != s.fixed.n:
+        raise BadParams("point has %d coordinates; the seed has rank %d"
+                        % (len(pt.coords), s.fixed.n))
     phi, inc = _edge_data(s, k, flavor)
     t = _bracket(vdot(phi, pt.coords), pt.conv)
     coords = tuple(c + t * i for c, i in zip(pt.coords, inc))
@@ -211,6 +214,9 @@ def apply_pl_to_polytope(plmap, p):
     already convex, i.e. whether the hull cut back along the hyperplane
     gives the mapped pieces.
     """
+    if any(len(st.phi) != p.dim for st in plmap.steps):
+        raise BadParams("polytope of dimension %d under a map of another "
+                        "dimension" % (p.dim,))
     flags = []
     cur = p
     for st in plmap.steps:

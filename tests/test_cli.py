@@ -242,6 +242,34 @@ RUNNING_SEED = str(INPUTS / "running_seed.json")
 FROZEN_SEED = str(INPUTS / "frozen_seed.json")
 POLYTOPE = str(INPUTS / "polytope.json")
 
+
+def test_accept_run_unknown_id_is_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "accept", "run", "--id", "99")
+    assert rc == 2 and out == "" and "invalid choice" in err
+
+
+def test_trop_map_needs_exactly_one_of_point_and_polytope(capsys):
+    base = ["trop", "map", "--seed-file", RUNNING_SEED, "--word", "0"]
+    for extra in ([], ["--point", "1,2", "--polytope", POLYTOPE]):
+        rc, out, err = run_cli(capsys, *base, *extra)
+        assert rc == 2 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("word, what", [
+    ("0", ["--point", "1,2,3"]), ("", ["--point", "1,2,3"]),
+    ("0", ["--point", "1"]), ("0", ["--polytope", "cube"]),
+    ("", ["--polytope", "cube"])])
+def test_trop_map_dimension_mismatch_is_domain_error(tmp_path, capsys, word,
+                                                     what):
+    if what[-1] == "cube":
+        cube = tmp_path / "cube.json"
+        cube.write_text(json.dumps({"vertices": [
+            [a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]}))
+        what = [what[0], str(cube)]
+    assert _bad_params(capsys, "trop", "map", "--seed-file", RUNNING_SEED,
+                       "--word", word, *what)
+
+
 # name -> argv.  golden/<name>.out holds the exact stdout, golden/<name>.err
 # the stderr of the cases that write any, and golden/exit_codes.json the
 # exit codes, all as produced by ctrop.cli.main.

@@ -194,3 +194,30 @@ def test_mat_matches_sympy():
                 inv = s.inv()
                 assert m.inverse().rows == tuple(
                     tuple(frac(x) for x in inv.row(i)) for i in range(s.rows))
+            # the same rows with a zero first pivot or in reverse order
+            # need row swaps in any elimination
+            for swapped in ([[0] + r[1:] if i == 0 else r
+                             for i, r in enumerate(rows)], rows[::-1]):
+                assert Mat(swapped).det() == frac(sympy.Matrix(swapped).det())
+        _check_solve(sympy, m, s, rng, frac)
+
+
+def _check_solve(sympy, m, s, rng, frac):
+    """solve against sympy's gauss_jordan_solve with its free parameters
+    set to 0, on a consistent b = A x and, where the column space is not
+    everything, on a b outside it."""
+    x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+         for _ in range(m.ncols)]
+    b = m * x
+    got = m.solve(b)
+    assert got is not None and m * got == b
+    sol, params = s.gauss_jordan_solve(
+        sympy.Matrix([sympy.Rational(v.numerator, v.denominator)
+                      for v in b]))
+    sol = sol.subs({t: 0 for t in params})
+    assert list(got) == [frac(v) for v in sol]
+    left = s.T.nullspace()
+    if left:
+        # y with y A = 0: y.(b + y) = y.y != 0, so b + y is no A x
+        y = [frac(v) for v in left[0]]
+        assert m.solve(tuple(u + v for u, v in zip(b, y))) is None

@@ -457,3 +457,48 @@ def test_power_terms_once_per_wall_power_and_depth(monkeypatch):
         dia, (1, -2), (Fraction(3, 2), Fraction(5, 7)), 8)
     assert exact and len(lines) == 7
     assert calls and max(calls.values()) == 1
+
+
+def _generators(dia):
+    """The columns a diagram measures depth against, with their degrees:
+    the p*_1 images of the mutable basis vectors for a cluster diagram,
+    else the distinct wall exponent directions in wall order."""
+    if dia.fd is not None:
+        return [(tuple(dia.fd.epsilon().rows[k]), 1) for k in dia.unfrozen]
+    gens = {}
+    for w in dia.walls:
+        gens.setdefault(w.g, w.deg)
+    return list(gens.items())
+
+
+def test_offset_coefficients_and_depth_against_brute_force():
+    diagrams = [fixture_diagram(name, 6, principal)[0]
+                for name in ("a2", "running-example", "kronecker")
+                for principal in (False, True)]
+    for dia in diagrams + [gr36_fixture_diagram()[0]]:
+        gens = _generators(dia)
+        G = Mat.from_cols([g for g, _ in gens])
+        for c in product(range(-2, 3), repeat=len(gens)):
+            off = G * c
+            assert tuple(dia.offset_coefficients(off)) == c
+            want = (sum(a * d for a, (_, d) in zip(c, gens))
+                    if min(c) >= 0 else None)
+            assert dia.offset_depth(off) == want
+            # half of the first generator more: no integer combination
+            half = tuple(a + Fraction(b, 2) for a, b in zip(off, gens[0][0]))
+            assert dia.offset_coefficients(half) is None
+            assert dia.offset_depth(half) is None
+        # outside the span (only where the generators do not span)
+        for y in Mat([g for g, _ in gens]).kernel():
+            assert dia.offset_coefficients(y) is None
+            assert dia.offset_depth(tuple(a + b for a, b in zip(y, off))) \
+                is None
+
+
+def test_dependent_wall_directions_are_rejected():
+    phi, g = (1, 0, 0), (0, 1, 0)
+    dia = ScatteringDiagram([Wall(phi, g, {1: 1}, (1,), 1, "line"),
+                             Wall(phi, (0, 2, 0), {1: 1}, (1,), 2, "line")],
+                            3, 4)
+    with pytest.raises(BadParams, match="dependent"):
+        dia.offset_depth((0, 1, 0))

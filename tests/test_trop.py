@@ -5,7 +5,7 @@ import pytest
 
 from ctrop import polytopes
 from ctrop.acceptance import load_fixture_seed
-from ctrop.errors import FrozenIndex, NotPositive, RankError
+from ctrop.errors import BadParams, FrozenIndex, NotPositive, RankError
 from ctrop.laurent import LaurentPolynomial
 from ctrop.linalg import Mat
 from ctrop.polytopes import convex_hull, lattice_points
@@ -99,6 +99,20 @@ def test_weight_fiber():
     assert whole.equalities == []
     with pytest.raises(RankError):
         weight_fiber((0, 0), Mat([[1, 1], [2, 2]]))
+
+
+def test_dimension_mismatch_is_rejected():
+    # zip used to cut the longer vector short and answer for the prefix
+    s = A2.initial_seed()
+    for coords in ((1, 2, 3), (1,)):
+        with pytest.raises(BadParams):
+            trop_mutate(TropicalPoint((), coords, "T"), 0, s, "A")
+    cube = convex_hull([(a, b, c) for a in (0, 1) for b in (0, 1)
+                        for c in (0, 1)])
+    for flavor in ("A", "X"):
+        with pytest.raises(BadParams):
+            apply_pl_to_polytope(PLMap.from_mutations(s, (0,), flavor, "T"),
+                                 cube)
 
 
 def test_apply_pl_single_chamber():
