@@ -48,7 +48,7 @@ def _points(data):
     is a BadParams error."""
     try:
         pts = [[Fraction(x) for x in v] for v in data]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise BadParams("malformed point list: %s" % (exc,))
     if len({len(v) for v in pts}) > 1:
         raise BadParams("points must all have the same length")
@@ -66,7 +66,7 @@ def _hyperplanes(data, rhs, default=None):
                 for row in data]
     except KeyError as exc:
         raise BadParams("each row needs %s" % (exc,))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise BadParams("malformed row: %s" % (exc,))
 
 

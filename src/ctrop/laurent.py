@@ -177,7 +177,7 @@ class LaurentPolynomial:
                       for t in data}
         except KeyError as exc:
             raise BadParams("Laurent term is missing %s" % (exc,))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise BadParams("malformed Laurent term: %s" % (exc,))
         if dim is not None and any(len(e) != dim for e in coeffs):
             raise BadParams("Laurent exponents must have length %d" % dim)

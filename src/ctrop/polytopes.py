@@ -23,15 +23,17 @@ def _extreme_rays(rows, dim):
     rows must have rank == dim (pointedness).  Returns (rays, tight): the
     primitive integer rays and, for each ray, the exact set of row indices
     vanishing on it.  Classical double description with the combinatorial
-    adjacency test.
+    adjacency test, on integer rows and rays (Fukuda and Prodon 1996).
     """
-    A = [vec(r) for r in rows]
     # initial simplicial subcone from the first dim independent rows
-    idx = independent_rows(A)
+    idx = independent_rows(rows)
     if len(idx) != dim:
         raise BadParams("cone is not pointed")
-    inv = Mat([A[i] for i in idx]).inverse()
+    inv = Mat([rows[i] for i in idx]).inverse()
     rays = [clear_denominators(inv.col(j)) for j in range(dim)]
+    # a positive scaling keeps each halfspace, so the rows can be primitive
+    # integer rows: from here on every pairing and new ray is an int vector
+    A = [clear_denominators(vec(r)) for r in rows]
     processed = list(idx)
     tight = []
     for r in rays:
@@ -62,10 +64,10 @@ def _extreme_rays(rows, dim):
                         break
                 if not adjacent:
                     continue
-                r = clear_denominators(
-                    tuple(vals[jp] * x - vals[jm] * y
-                          for x, y in zip(rays[jm], rays[jp])))
-                new_rays.append(r)
+                r = [vals[jp] * x - vals[jm] * y
+                     for x, y in zip(rays[jm], rays[jp])]
+                g = math.gcd(*r)
+                new_rays.append(tuple(x // g for x in r))
                 new_tight.append(common | {i})
         keep = plus + zero
         rays = [rays[j] for j in keep] + new_rays
@@ -87,6 +89,8 @@ class AffineSubspace:
     def __init__(self, equalities, dim):
         self.equalities = [(vec(n), Fraction(v)) for n, v in equalities]
         self.dim = dim
+        if any(len(n) != dim for n, _ in self.equalities):
+            raise BadParams("equations must have dimension %d" % dim)
 
     def contains(self, x):
         return all(vdot(n, x) == v for n, v in self.equalities)
@@ -179,26 +183,14 @@ def convex_hull(points):
     # coordinates in the basis: the left inverse (W W^T)^-1 W, whose
     # transpose lifts facet normals back to the ambient space
     left = (W * W.transpose()).inverse() * W
-    coords = [left * u for u in dirs]
-    centroid = tuple(sum(c[i] for c in coords) / Fraction(len(coords))
-                     for i in range(d))
-    shifted = [tuple(a - b for a, b in zip(c, centroid)) for c in coords]
-
-    # polar dual: vertices of {y : <y, u> <= 1 for all shifted points u}
-    rows = [tuple([-x for x in u]) + (Fraction(1),) for u in shifted]
-    rows.append((Fraction(0),) * d + (Fraction(1),))
-    rays, tight = _extreme_rays(rows, d + 1)
+    # facets are the extreme rays (b, n) of the cone {b + <n, c_i> >= 0}
+    # over the point coordinates c_i; each is <n, c> >= -b in the basis
+    rays, tight = _extreme_rays([(1,) + left * u for u in dirs], d + 1)
     lift_t = left.transpose()
     facets = []
-    for r in rays:
-        if r[-1] == 0:
-            # polar is bounded because 0 is interior; cannot happen
-            raise BadParams("interior point failure in hull")
-        y = tuple(Fraction(x, r[-1]) for x in r[:-1])
-        # <y, t - centroid> <= 1  becomes  <phi, x> >= offset
-        phi = tuple(-q for q in lift_t * y)
-        off = -Fraction(1) - vdot(y, centroid) + vdot(phi, x0)
-        nrm = clear_denominators(phi + (off,))
+    for b, *n in rays:
+        phi = lift_t * n
+        nrm = clear_denominators(phi + (vdot(phi, x0) - b,))
         facets.append((nrm[:-1], Fraction(nrm[-1])))
 
     # a point is a vertex iff it is the only point on all of its facets;
@@ -264,6 +256,8 @@ class Cone:
     def __init__(self, ineqs, dim):
         self.ineqs = [(vec(n), Fraction(b)) for n, b in ineqs]
         self.dim = dim
+        if any(len(n) != dim for n, _ in self.ineqs):
+            raise BadParams("cone normals must have dimension %d" % dim)
 
     def contains(self, x):
         x = vec(x)

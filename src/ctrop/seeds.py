@@ -37,6 +37,10 @@ class FixedData:
     def _validate(self):
         if self.skew.nrows != self.n or self.skew.ncols != self.n:
             raise BadParams("skew form must be n x n")
+        if len(self.d) != self.n:
+            raise BadParams("need one multiplier per index")
+        if not self.unfrozen <= set(range(self.n)):
+            raise BadParams("unfrozen indices must lie in range(n)")
         if any(x <= 0 for x in self.d):
             raise BadParams("multipliers must be positive")
         g = 0
@@ -305,6 +309,6 @@ def seed_from_json(data):
         word = tuple(data["word"])
     except KeyError as exc:
         raise BadParams("seed JSON is missing %s" % (exc,))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise BadParams("malformed seed JSON: %s" % (exc,))
     return fd.seed(word)

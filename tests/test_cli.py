@@ -65,6 +65,44 @@ def test_seed_mutate_missing_unfrozen_is_domain_error(tmp_path, capsys):
                        "--k", "0")
 
 
+@pytest.mark.parametrize("fields, k", [
+    ({"d": [1]}, 0),
+    ({"unfrozen": [0, 1, 5]}, 5),
+], ids=["short_d", "unfrozen_out_of_range"])
+def test_seed_mutate_inconsistent_fixed_data_is_domain_error(tmp_path, capsys,
+                                                             fields, k):
+    seed = {"n": 2, "unfrozen": [0, 1],
+            "lambda": [["0", "1"], ["-1", "0"]], "d": [1, 1], "word": []}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(dict(seed, **fields)))
+    assert _bad_params(capsys, "seed", "mutate", "--file", str(f),
+                       "--k", str(k))
+
+
+SEED_TEXT = ('{"n": 2, "unfrozen": [0, 1], "lambda": [[0, %s], [-1, 0]], '
+             '"d": [1, 1], "word": []}')
+
+
+@pytest.mark.parametrize("command, text", [
+    ("hull", "[[1e400]]"),
+    ("transport", '[{"exp": [1, 0], "coef": 1e400}]'),
+    ("seed", SEED_TEXT % "1e400"),
+    ("seed", SEED_TEXT % '"1/0"'),
+], ids=["hull_overflow", "transport_overflow", "seed_overflow",
+        "seed_zero_denominator"])
+def test_json_number_without_exact_value_is_domain_error(tmp_path, capsys,
+                                                         command, text):
+    # json reads 1e400 as float infinity, and "1/0" has a zero
+    # denominator: neither is a Fraction
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    argv = {"hull": ("poly", "hull", "--points", str(f)),
+            "transport": ("laurent", "transport", "--seed-file",
+                          RUNNING_SEED, "--to-word", "1", "--poly", str(f)),
+            "seed": ("seed", "mutate", "--file", str(f), "--k", "0")}
+    assert _bad_params(capsys, *argv[command])
+
+
 def test_trop_map_polytope_without_vertices_is_domain_error(tmp_path,
                                                              capsys):
     f = tmp_path / "p.json"
@@ -139,8 +177,12 @@ def test_poly_slice(tmp_path, capsys):
     ([{"offset": 0}], SLICE_FIBER),
     (SLICE_CONE, [{"normal": [1, 1], "value": "x"}]),
     ([], SLICE_FIBER),
+    ([{"normal": [1, 0]}, {"normal": [0, 1, 7]},
+      {"normal": [-1, -1], "offset": -3}], []),
+    (SLICE_CONE, [{"normal": [1, 1, 0], "value": 2}]),
 ], ids=["fiber_without_value", "fiber_without_normal", "cone_without_normal",
-        "malformed_value", "empty_cone"])
+        "malformed_value", "empty_cone", "cone_row_of_other_length",
+        "fiber_of_other_dimension"])
 def test_poly_slice_bad_rows_are_domain_errors(tmp_path, capsys, cone,
                                                fiber):
     assert _bad_params(capsys, *_slice_argv(tmp_path, cone, fiber))

@@ -246,6 +246,65 @@ def test_hull_vertices_match_tight_facet_rank_rule():
         assert convex_hull(pts).vertices == _rank_rule_vertices(pts)
 
 
+def _brute_facets(pts, dim):
+    """Reference facets: the hyperplanes through dim affinely independent
+    points that leave every point on one side, as primitive integer rows
+    (normal..., offset)."""
+    facets = set()
+    for sub in itertools.combinations(pts, dim):
+        m = Mat([p + (-1,) for p in sub])
+        if m.rank() < dim:
+            continue
+        (h,) = m.kernel()
+        vals = [vdot(h[:-1], p) - h[-1] for p in pts]
+        if all(v >= 0 for v in vals):
+            facets.add(h)
+        elif all(v <= 0 for v in vals):
+            facets.add(tuple(-x for x in h))
+    return facets
+
+
+def _brute_vertices(pts, k):
+    """Reference vertices: the points in the hull of no k + 1 of the other
+    points, k the affine dimension.  By Caratheodory a point inside lies
+    in the hull of k + 1 affinely independent others, where the
+    barycentric solve is unique."""
+    def inside(p, sub):
+        lam = Mat([[q[i] for q in sub] for i in range(len(p))]
+                  + [[1] * len(sub)]).solve(p + (1,))
+        return lam is not None and all(x >= 0 for x in lam)
+
+    return tuple(p for p in pts if not any(
+        inside(p, sub)
+        for sub in itertools.combinations([q for q in pts if q != p], k + 1)))
+
+
+def _affine_dim(pts):
+    return Mat([tuple(a - b for a, b in zip(p, pts[0])) for p in pts]).rank()
+
+
+def test_hull_matches_brute_force_facets_and_vertices():
+    # a second hull algorithm: facets from all affinely independent point
+    # subsets of full-dimensional sets, vertices by Caratheodory
+    rng = random.Random(47)
+    for t in range(32):
+        dim = 1 + t % 4
+        pts = []
+        while len(pts) <= dim or _affine_dim(pts) < dim:
+            pts = sorted(set(
+                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+                      for _ in range(dim)) for _ in range(dim + 3)))
+        hull = convex_hull(pts + [tuple((a + b) / 2
+                                        for a, b in zip(pts[0], pts[1]))])
+        assert {n + (b,) for n, b in hull.facets} == _brute_facets(pts, dim)
+        assert hull.vertices == _brute_vertices(pts, dim)
+    for t in range(32):
+        pts = sorted(set(vec(p) for p in _random_points(rng, 2 + t % 3)))
+        k = _affine_dim(pts)
+        if k < len(pts[0]):
+            assert convex_hull(pts).vertices == _brute_vertices(pts, k)
+
+
 def test_independent_rows_matches_greedy_rank_selection():
     rng = random.Random(43)
     assert independent_rows([]) == []
