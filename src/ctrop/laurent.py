@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadParams, EmptyInput, NotInSpan, NotLaurent, RankError
-from .linalg import LESS, TotalOrder, dominance_compare, vec
+from .linalg import LESS, TotalOrder, dominance_compare, vdot, vec
 
 
 def _grlex_key(e):
@@ -170,11 +170,21 @@ class LaurentPolynomial:
     @staticmethod
     def from_json(data, dim=None):
         """Polynomial from its list of {"exp", "coef"} terms; a missing
-        field, a malformed value or an exponent of another length than
-        `dim` is a BadParams error."""
+        field, a malformed value, an exponent entry that is not an integer,
+        a repeated exponent or an exponent of another length than `dim` is
+        a BadParams error."""
+        coeffs = {}
         try:
-            coeffs = {tuple(int(x) for x in t["exp"]): Fraction(t["coef"])
-                      for t in data}
+            for t in data:
+                e = tuple(t["exp"])
+                exp = tuple(int(x) for x in e)
+                if any(Fraction(x) != y for x, y in zip(e, exp)):
+                    raise BadParams("Laurent exponent %s is not integral"
+                                    % (list(e),))
+                if exp in coeffs:
+                    raise BadParams("repeated Laurent exponent %s"
+                                    % (list(exp),))
+                coeffs[exp] = Fraction(t["coef"])
         except KeyError as exc:
             raise BadParams("Laurent term is missing %s" % (exc,))
         except (TypeError, ValueError, ArithmeticError) as exc:
@@ -193,9 +203,15 @@ def binomial_power(base_exp, power, dim):
     return one_plus.pow(power)
 
 
-def _skew_pair(lam, a, b):
-    la = lam * vec(b)
-    return sum(x * y for x, y in zip(vec(a), la))
+def _map_exponent(frame, e, lattice):
+    """The integer map (den, rows) of a seed's frames applied to e."""
+    den, rows = frame
+    out = tuple(vdot(r, e) for r in rows)
+    if den != 1:
+        if any(x % den for x in out):
+            raise NotLaurent("non-integral exponent; not in %s" % lattice)
+        out = tuple(x // den for x in out)
+    return out
 
 
 def _chart_step(s, s2, f, flavor, forward):
@@ -209,33 +225,26 @@ def _chart_step(s, s2, f, flavor, forward):
     initial coordinates: for A, m in M° (frame f_{i;s}) and b = v_k; for X,
     m in N (frame e_{i;s}) and b = e_k, the pairing being d_k {m, e_k}.
     The result is divided through by the common negative power and checked
-    for exactness.
+    for exactness.  Exponents move between the charts through the seeds'
+    integer frames, so every exponent stays an int.
     """
     k = s2.word[-1]
     src, dst = (s, s2) if forward else (s2, s)
     sign = 1 if forward else -1
-    if flavor == "A":
-        frame_t = src.f_matrix().transpose()
-        to_own = dst.f_matrix().inverse().transpose()
-        binom = s.v_initial(k)
-        pairing = lambda m: s.pairing_dkek(k, m)
-        lattice = "M°"
-    else:
-        frame_t = src.basis.transpose()
-        to_own = dst.basis.inverse().transpose()
-        binom = s.e_initial(k)
-        pairing = lambda m: s.fixed.d[k] * _skew_pair(s.fixed.skew, m, binom)
-        lattice = "N"
+    to_initial = src.frames(flavor)[0]
+    to_own = dst.frames(flavor)[1]
+    binom, pden, prow = s.exchange_pairing(flavor, k)
+    lattice = "M°" if flavor == "A" else "N"
     g = {}
     powers = {}
     for e, c in f.coeffs.items():
-        init = frame_t * e
-        p = sign * pairing(init)
-        if Fraction(p).denominator != 1:
+        init = _map_exponent(to_initial, e, lattice)
+        p, r = divmod(sign * vdot(prow, init), pden)
+        if r:
             raise NotLaurent("non-integral pairing; exponent not in %s"
                              % lattice)
         g[init] = c
-        powers[init] = int(p)
+        powers[init] = p
     dim = f.dim
     shift = max(0, max((-p for p in powers.values()), default=0))
     numer = LaurentPolynomial.zero(dim)
@@ -244,7 +253,8 @@ def _chart_step(s, s2, f, flavor, forward):
                                        dim).shift(e).scale(c)
     if shift:
         numer = numer.divide_exact(binomial_power(binom, shift, dim))
-    return numer.apply_matrix(to_own)
+    return LaurentPolynomial({_map_exponent(to_own, e, lattice): c
+                              for e, c in numer.coeffs.items()}, dim)
 
 
 def _edges_to_depth(s, depth):

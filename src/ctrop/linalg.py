@@ -317,6 +317,9 @@ class TotalOrder:
     def __init__(self, weight, perm=None):
         self.weight = vec(weight)
         self.perm = tuple(perm) if perm is not None else tuple(range(len(self.weight)))
+        # keys use the weight scaled to integers: a positive scale keeps
+        # the order
+        self._iweight = integer_scale(self.weight)[1]
 
     @staticmethod
     def graded_lex(dim):
@@ -332,7 +335,7 @@ class TotalOrder:
 
     def key(self, m):
         mv = vec(m)
-        return (vdot(self.weight, mv), tuple(mv[p] for p in self.perm))
+        return (vdot(self._iweight, mv), tuple(mv[p] for p in self.perm))
 
     def compare(self, a, b):
         ka, kb = self.key(a), self.key(b)
@@ -346,11 +349,7 @@ class TotalOrder:
         pts = list(points)
         if not pts:
             raise EmptyInput("min of empty set")
-        best = pts[0]
-        for p in pts[1:]:
-            if self.key(p) < self.key(best):
-                best = p
-        return best
+        return min(pts, key=self.key)
 
     def to_json(self):
         return {"weight": [str(x) for x in self.weight], "perm": list(self.perm)}

@@ -19,9 +19,22 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BadParams, FrozenIndex
-from .linalg import Mat, TotalOrder, vdot, vec
+from .linalg import Mat, TotalOrder, integer_scale, vdot, vec
 
 POS = lambda x: x if x > 0 else 0
+
+
+def _integer_frame(rows, d):
+    """(den, ints): the rational matrix D rows D^-1, D = diag(d), as the
+    integer rows ints over the least common denominator den."""
+    n = len(d)
+    den, flat = integer_scale([x for r in rows for x in r])
+    big = lcm(*d)
+    ints = [x * d[i] * (big // d[j])
+            for i in range(n) for j, x in enumerate(flat[i * n:(i + 1) * n])]
+    g = gcd(den * big, *ints)
+    return den * big // g, tuple(tuple(x // g for x in ints[i * n:(i + 1) * n])
+                                 for i in range(n))
 
 
 class FixedData:
@@ -32,6 +45,8 @@ class FixedData:
         self.unfrozen = frozenset(unfrozen)
         self.skew = skew if isinstance(skew, Mat) else Mat(skew)
         self.d = tuple(int(x) for x in d)
+        if any(Fraction(x) != y for x, y in zip(d, self.d)):
+            raise BadParams("multipliers must be integers")
         self._validate()
 
     def _validate(self):
@@ -87,8 +102,9 @@ class Seed:
     up to a canonical monomial isomorphism; the reduced-word model quotients
     by it, which is what every identity in this library expects.)
 
-    A seed is immutable: its frame, its p*_1 columns and its refining total
-    order are computed on first use and kept on the seed.
+    A seed is immutable: its integer chart frames and exchange pairings,
+    its p*_1 columns and its refining total order are computed on first
+    use and kept on the seed.
     """
 
     def __init__(self, fixed, word, basis, eps, parent=None):
@@ -97,7 +113,8 @@ class Seed:
         self.basis = basis
         self.eps = eps
         self.parent = parent
-        self._f = None
+        self._frames = {}
+        self._exchange = {}
         self._pstar = None
         self._order = None
 
@@ -131,10 +148,6 @@ class Seed:
         return Seed(self.fixed, self.word + (k,), Mat(rows), Mat(eps),
                     parent=self)
 
-    def e_initial(self, k):
-        """e_{k;s} in initial N-coordinates."""
-        return self.basis.rows[k]
-
     def v_initial(self, k):
         """v_{k;s} = {e_{k;s}, .} in initial M°-coordinates (f-basis)."""
         b = self.basis.rows[k]
@@ -142,25 +155,49 @@ class Seed:
         return tuple(vdot(b, c) * d[j]
                      for j, c in enumerate(self.fixed.skew.cols()))
 
-    def pairing_dkek(self, k, m):
-        """<d_k e_{k;s}, m> for m in initial M°-coordinates."""
-        d = self.fixed.d
-        return self.fixed.d[k] * sum(
-            Fraction(self.basis.rows[k][j]) * m[j] / d[j] for j in range(self.fixed.n))
-
     def skew_with_e(self, k, n_vec):
         """{e_{k;s}, n} for n in initial N-coordinates."""
         return vdot(self.basis.rows[k], self.fixed.skew * vec(n_vec))
 
-    def f_matrix(self):
-        """Rows are f_{i;s} in initial M°-coordinates: D^-1 B^-T D."""
-        if self._f is None:
-            n = self.fixed.n
+    def frames(self, flavor):
+        """(to_initial, to_own): the integer maps between the seed's own
+        chart exponents and the initial ones, each as (den, rows) with
+        den * m_initial = rows @ m_own, resp. den * m_own = rows @ m_initial.
+
+        For A (M°, frame f_{i;s} = e_{i;s}^*/d_i) they are f^T = D B^-1 D^-1
+        and (f^-1)^T = D B D^-1, the second read from the basis B itself;
+        for X (N, frame e_{i;s}) they are B^T and (B^-1)^T."""
+        fr = self._frames.get(flavor)
+        if fr is None:
+            b = self.basis
+            if flavor == "A":
+                fr = b.inverse().rows, b.rows
+                d = self.fixed.d
+            else:
+                fr = b.transpose().rows, b.inverse().transpose().rows
+                d = (1,) * self.fixed.n
+            fr = self._frames[flavor] = tuple(_integer_frame(m, d) for m in fr)
+        return fr
+
+    def exchange_pairing(self, flavor, k):
+        """(b, den, row) for mutation in direction k, in the flavor's
+        initial coordinates: it multiplies z^m by a power of 1 + z^b, the
+        power being <d_k e_{k;s}, m> = row . m / den.  For A, b = v_{k;s}
+        and row_j = d_k (e_{k;s})_j / d_j; for X, b = e_{k;s} and the
+        pairing is d_k {m, e_{k;s}}, so row = d_k Lambda e_{k;s}."""
+        key = (flavor, k)
+        ex = self._exchange.get(key)
+        if ex is None:
             d = self.fixed.d
-            binv_t = self.basis.inverse().transpose()
-            self._f = Mat([[binv_t.rows[i][j] * d[j] / Fraction(d[i])
-                            for j in range(n)] for i in range(n)])
-        return self._f
+            ek = self.basis.rows[k]
+            if flavor == "A":
+                b = self.v_initial(k)
+                row = [d[k] * x / Fraction(dj) for x, dj in zip(ek, d)]
+            else:
+                b = ek
+                row = [d[k] * x for x in self.fixed.skew * ek]
+            ex = self._exchange[key] = (b,) + integer_scale(row)
+        return ex
 
     def pstar_cols_unfrozen(self):
         """Columns p*_1(e_{k;s}) in the seed's own M°-coordinates: these are

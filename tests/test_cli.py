@@ -68,7 +68,8 @@ def test_seed_mutate_missing_unfrozen_is_domain_error(tmp_path, capsys):
 @pytest.mark.parametrize("fields, k", [
     ({"d": [1]}, 0),
     ({"unfrozen": [0, 1, 5]}, 5),
-], ids=["short_d", "unfrozen_out_of_range"])
+    ({"d": [1.5, 1]}, 0),
+], ids=["short_d", "unfrozen_out_of_range", "non_integral_d"])
 def test_seed_mutate_inconsistent_fixed_data_is_domain_error(tmp_path, capsys,
                                                              fields, k):
     seed = {"n": 2, "unfrozen": [0, 1],
@@ -144,6 +145,17 @@ def test_laurent_transport_term_without_exp_is_domain_error(tmp_path,
 def test_laurent_transport_term_without_coef_is_domain_error(tmp_path,
                                                              capsys):
     assert _transport_poly(tmp_path, capsys, [{"exp": [1, 0]}])
+
+
+@pytest.mark.parametrize("terms", [
+    [{"exp": [1, 0], "coef": "1"}, {"exp": [1, 0], "coef": "2"}],
+    [{"exp": [1.5, 0], "coef": "1"}],
+], ids=["repeated_exponent", "non_integral_exponent"])
+def test_laurent_transport_lossy_terms_are_domain_errors(tmp_path, capsys,
+                                                         terms):
+    # neither may be read as some other polynomial: the repeated term is
+    # not summed or dropped, and 1.5 is not truncated to 1
+    assert _transport_poly(tmp_path, capsys, terms)
 
 
 def test_poly_hull_ragged_points_is_domain_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,8 +7,8 @@ from ctrop.errors import (BadParams, DomainError, EmptyInput, NotInSpan,
                           NotLaurent)
 from ctrop.grassmannian import rectangles_seed
 from ctrop.laurent import (LaurentPolynomial, PointedDecomposition,
-                           c_valuation, g_valuation, is_pointed, theta_expand,
-                           transport)
+                           binomial_power, c_valuation, g_valuation,
+                           is_pointed, theta_expand, transport)
 from ctrop.linalg import Mat, TotalOrder
 from ctrop.scattering import (LazyThetaTable, complete_rank2, initial_diagram,
                               theta_on_x)
@@ -312,3 +313,153 @@ def test_transport_needs_one_fixed_data():
         transport(mono((1, 0)), A2.seed((0,)), RUNNING.initial_seed(), "A")
     with pytest.raises(BadParams):
         transport(mono((1, 0)), RUNNING.seed((1,)), A2.initial_seed(), "X")
+
+
+D131 = FixedData(3, {0, 1}, Mat([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]),
+                 (1, 3, 1))
+
+
+def _reference_step(s, s2, f, flavor, forward):
+    """The chart step on Fraction frames, as a second algorithm: the frame
+    f = D^-1 B^-T D through Mat.inverse, the pairing in rationals and the
+    substitution by apply_matrix."""
+    fd = s.fixed
+    n, d, lam = fd.n, fd.d, fd.skew
+    k = s2.word[-1]
+    src, dst = (s, s2) if forward else (s2, s)
+    ek = s.basis.rows[k]
+
+    def frame(t):
+        binv_t = t.basis.inverse().transpose()
+        return Mat([[binv_t.rows[i][j] * d[j] / Fraction(d[i])
+                     for j in range(n)] for i in range(n)])
+
+    if flavor == "A":
+        frame_t = frame(src).transpose()
+        to_own = frame(dst).inverse().transpose()
+        binom = tuple(x * d[j] for j, x in enumerate((Mat([ek]) * lam).rows[0]))
+        pairing = Mat([[Fraction(x, d[j]) for j, x in enumerate(ek)]])
+        pairing = pairing.scale(d[k])
+    else:
+        frame_t = src.basis.transpose()
+        to_own = dst.basis.inverse().transpose()
+        binom = ek
+        pairing = Mat([lam * ek]).scale(d[k])
+    terms = []
+    for e, c in f.coeffs.items():
+        init = frame_t * e
+        p = (1 if forward else -1) * (pairing * init)[0]
+        if p.denominator != 1:
+            raise NotLaurent("non-integral pairing; exponent not in %s"
+                             % ("M°" if flavor == "A" else "N"))
+        terms.append((init, c, int(p)))
+    shift = max([0] + [-p for _, _, p in terms])
+    numer = LaurentPolynomial.zero(n)
+    for e, c, p in terms:
+        numer = numer + binomial_power(binom, p + shift, n).shift(e).scale(c)
+    if shift:
+        numer = numer.divide_exact(binomial_power(binom, shift, n))
+    return numer.apply_matrix(to_own)
+
+
+def _reference_transport(f, fd, wf, wt, flavor):
+    """f carried from the seed of word wf to that of wt through their
+    longest common prefix, one reference step per edge, on seeds rebuilt
+    from the initial one."""
+    i = 0
+    while i < min(len(wf), len(wt)) and wf[i] == wt[i]:
+        i += 1
+    for j in range(len(wf), i, -1):
+        f = _reference_step(fd.seed(wf[:j - 1]), fd.seed(wf[:j]), f, flavor,
+                            forward=False)
+    for j in range(i + 1, len(wt) + 1):
+        f = _reference_step(fd.seed(wt[:j - 1]), fd.seed(wt[:j]), f, flavor,
+                            forward=True)
+    return f
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NotLaurent as exc:
+        return ("NotLaurent", str(exc))
+
+
+@pytest.mark.parametrize("name", ["gr25", "gr36", "running", "d131",
+                                  "prin_running", "prin_d131"])
+def test_transport_matches_fraction_frame_reference(name):
+    # the integer-frame chart steps against the Fraction-frame ones, on
+    # fixed-seed random words and polynomials; the principal data has a
+    # rational skew form, and d131 a multiplier 3 and a frozen index
+    if name.startswith("gr"):
+        k, n = int(name[2]), int(name[3])
+        fd = rectangles_seed(n - k, n, opposite=True)[0]
+    else:
+        fd = {"running": RUNNING, "d131": D131}[name.replace("prin_", "")]
+        if name.startswith("prin_"):
+            fd = build_principal(fd)
+    rng = random.Random(name)
+    letters = sorted(fd.unfrozen)
+    span = 1 if fd.n > 6 else 2
+
+    def word():
+        w = []
+        for _ in range(rng.randint(0, 4)):
+            k = rng.choice([x for x in letters if not w or x != w[-1]])
+            w.append(k)
+        return tuple(w)
+
+    seen = {"ok": 0, "NotLaurent": 0}
+    for flavor in ("A", "X"):
+        for _ in range(20):
+            wf = word()
+            wt = wf[:rng.randint(0, len(wf))] if rng.random() < 0.5 else word()
+            if rng.random() < 0.5:
+                j = rng.randrange(fd.n)
+                f = mono(tuple(int(i == j) for i in range(fd.n)))
+            else:
+                f = LaurentPolynomial(
+                    {tuple(rng.randint(-span, span) for _ in range(fd.n)):
+                     rng.choice([1, -2, Fraction(1, 2)]) for _ in range(3)},
+                    fd.n)
+            got = _outcome(lambda: transport(f, fd.seed(wf), fd.seed(wt),
+                                             flavor))
+            want = _outcome(lambda: _reference_transport(f, fd, wf, wt,
+                                                         flavor))
+            assert got == want
+            seen["NotLaurent" if isinstance(want, tuple) else "ok"] += 1
+    assert seen["ok"] and seen["NotLaurent"]
+
+
+def test_total_order_matches_fraction_weight_reference():
+    # the integer-scaled weight ranks points as the Fraction weight does,
+    # on integer and on rational points
+    rng = random.Random(41)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        weight = [Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                  for _ in range(dim)]
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        order = TotalOrder(weight, perm)
+
+        def ref_key(m):
+            return (sum(w * Fraction(x) for w, x in zip(weight, m)),
+                    tuple(Fraction(m[p]) for p in perm))
+
+        for rational in (False, True):
+            pts = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                         if rational else rng.randint(-3, 3)
+                         for _ in range(dim)) for _ in range(rng.randint(1, 8))]
+            best = pts[0]
+            for p in pts[1:]:
+                if ref_key(p) < ref_key(best):
+                    best = p
+            assert order.min(pts) == best
+            for a in pts:
+                for b in pts:
+                    ka, kb = ref_key(a), ref_key(b)
+                    want = "Less" if ka < kb else \
+                        "Greater" if ka > kb else "Equal"
+                    assert order.compare(a, b) == want
+        assert order.to_json()["weight"] == [str(w) for w in weight]
