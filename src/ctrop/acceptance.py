@@ -25,7 +25,7 @@ from .scattering import (ScatteringDiagram, Wall, complete_rank2,
                          theta_on_x)
 from .seeds import (build_principal, ensemble_map,
                     principal_ensemble_map, seed_from_json)
-from .trop import PLFunction, PLMap, apply_pl_to_polytope, weight_fiber
+from .trop import PLMap, apply_pl_to_polytope, tropicalize, weight_fiber
 
 
 def _fixture(name):
@@ -245,7 +245,7 @@ def _grassmannian_slice(k, n, level):
         th, exact = theta_on_x(dia, lab, em)
         if not exact:
             raise NonGenericEndpoint("frozen theta truncated")
-        summands.append(PLFunction("t", list(th.coeffs)))
+        summands.append(tropicalize(th, "t"))
     xi = superpotential_cone(summands, [0] * len(summands))
     qrep = [0] * gr.dim
     qrep[gr.index(gr.rows, gr.cols)] = level

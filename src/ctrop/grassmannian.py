@@ -59,15 +59,6 @@ class GrData:
         return [tuple(c) for c in combinations(range(1, self.n + 1),
                                                self.rows)]
 
-    def rectangle_index_set(self, i, j):
-        """Plücker index J whose Young diagram is the i x j rectangle
-        (or the empty one for i = j = 0)."""
-        k, n = self.cols, self.n
-        if i == 0 and j == 0:
-            return tuple(range(k + 1, n + 1))
-        return tuple(range(k - j + 1, k - j + i + 1)) \
-            + tuple(range(k + i + 1, n + 1))
-
 
 def young_from_index(J, k, n):
     """Row lengths of the Young diagram cut out by the lattice path whose
@@ -87,27 +78,6 @@ def young_from_index(J, k, n):
             west_after += 1
     lam.reverse()
     return tuple(lam)
-
-
-def index_from_young(lam, k, n):
-    """Inverse of young_from_index."""
-    gr = GrData(k, n)
-    lam = tuple(lam) + (0,) * (gr.rows - len(lam))
-    if len(lam) != gr.rows or any(lam[i] < lam[i + 1]
-                                  for i in range(len(lam) - 1)) \
-            or (lam and lam[0] > k):
-        raise BadParams("not a diagram in the grid")
-    J = []
-    pos = 0
-    west_used = 0
-    for r in range(gr.rows):
-        # west steps before the r-th south step: k - lam[r]
-        while west_used < k - lam[r]:
-            pos += 1
-            west_used += 1
-        pos += 1
-        J.append(pos)
-    return tuple(J)
 
 
 def gt_valuation(J, k, n):
@@ -354,13 +324,13 @@ def cluster_bfs_g_vectors(k, n, depth, opposite=True):
     n_dim = fd.n
     init_vars = [LaurentPolynomial.monomial(
         tuple(1 if t == v else 0 for t in range(n_dim))) for v in range(n_dim)]
-    out = {}
+    out = {(): [(v, is_pointed(f, seed0, em))
+                for v, f in enumerate(init_vars)]}
     seen = {seed0.key(): ()}
-    frontier = [(seed0, init_vars)]
-    out[()] = [(v, is_pointed(f, seed0, em)) for v, f in enumerate(init_vars)]
+    frontier = [(seed0, init_vars, out[()])]
     for _ in range(depth):
         nxt = []
-        for seed, variables in frontier:
+        for seed, variables, parent_gvs in frontier:
             for kdir in sorted(fd.unfrozen):
                 s2 = seed.mutate(kdir)
                 if s2.key() in seen:
@@ -373,14 +343,15 @@ def cluster_bfs_g_vectors(k, n, depth, opposite=True):
                         "exchange relation left the Laurent ring at %r"
                         % (s2.word,))
                 seen[s2.key()] = s2.word
-                gvs = []
-                for v, f in enumerate(new_vars):
-                    g = is_pointed(f, seed0, em)
-                    if g is None:
-                        raise NotLaurent("cluster variable is not pointed")
-                    gvs.append((v, g))
+                # an exchange changes one cluster variable; the others keep
+                # the parent's g-vectors
+                g = is_pointed(new_vars[kdir], seed0, em)
+                if g is None:
+                    raise NotLaurent("cluster variable is not pointed")
+                gvs = list(parent_gvs)
+                gvs[kdir] = (kdir, g)
                 out[s2.word] = gvs
-                nxt.append((s2, new_vars))
+                nxt.append((s2, new_vars, gvs))
         frontier = nxt
         if not frontier:
             break

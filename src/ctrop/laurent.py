@@ -1,5 +1,5 @@
 """Laurent polynomial arithmetic, cluster chart transitions, pointedness
-and the g-/c-vector valuations.
+and the g-vector valuation.
 
 A LaurentPolynomial stores a sparse map from integer exponent tuples to
 nonzero rational coefficients.  Exponents are interpreted in the tagged
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadParams, EmptyInput, NotInSpan, NotLaurent, RankError
-from .linalg import LESS, TotalOrder, dominance_compare, vdot, vec
+from .linalg import LESS, dominance_compare, vdot
 
 
 def _grlex_key(e):
@@ -155,14 +155,6 @@ class LaurentPolynomial:
             q[t_exp] = q.get(t_exp, Fraction(0)) + t_coef
             rem = rem - other.shift(t_exp).scale(t_coef)
         return LaurentPolynomial(q, self.dim)
-
-    def apply_matrix(self, mat):
-        """Monomial substitution z^e -> z^(mat @ e)."""
-        out = {}
-        for e, c in self.coeffs.items():
-            e2 = tuple(int(x) for x in (mat * vec(e)))
-            out[e2] = out.get(e2, Fraction(0)) + c
-        return LaurentPolynomial(out, mat.nrows)
 
     def to_json(self):
         return [{"exp": list(e), "coef": str(c)} for e, c in self.terms()]
@@ -356,16 +348,6 @@ def g_valuation(decomp, s, order=None):
         raise EmptyInput("empty decomposition")
     if order is None:
         order = s.refining_order()
-    return order.min(decomp.labels())
-
-
-def c_valuation(decomp, s, order=None):
-    """Minimal X-side theta label under a refinement of the divisibility
-    order (graded-lex with all-ones weight refines it)."""
-    if len(decomp) == 0:
-        raise EmptyInput("empty decomposition")
-    if order is None:
-        order = TotalOrder.graded_lex(s.fixed.n)
     return order.min(decomp.labels())
 
 

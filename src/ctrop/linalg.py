@@ -279,31 +279,6 @@ def dominance_compare(m1, m2, pstar_cols):
     return INCOMPARABLE
 
 
-def divisibility_compare(n1, n2, unfrozen):
-    """Compare n1, n2 in the divisibility order: Less iff n2 - n1 is a
-    nonzero nonnegative vector supported on the unfrozen indices."""
-    delta = vsub(vec(n2), vec(n1))
-    if is_zero(delta):
-        return EQUAL
-
-    def positive(d):
-        ok = True
-        for i, x in enumerate(d):
-            if x < 0:
-                return False
-            if x > 0 and i not in unfrozen:
-                return False
-            if Fraction(x).denominator != 1:
-                return False
-        return ok
-
-    if positive(delta):
-        return LESS
-    if positive(vneg(delta)):
-        return GREATER
-    return INCOMPARABLE
-
-
 class TotalOrder:
     """Graded-lexicographic comparator: weight functional first, then
     lexicographic comparison after a coordinate permutation.
@@ -322,10 +297,6 @@ class TotalOrder:
         self._iweight = integer_scale(self.weight)[1]
 
     @staticmethod
-    def graded_lex(dim):
-        return TotalOrder([1] * dim)
-
-    @staticmethod
     def refining(pstar_cols):
         """Total order refining the dominance order with the given columns."""
         if pstar_cols.rank() != pstar_cols.ncols:
@@ -337,37 +308,8 @@ class TotalOrder:
         mv = vec(m)
         return (vdot(self._iweight, mv), tuple(mv[p] for p in self.perm))
 
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LESS
-        if ka > kb:
-            return GREATER
-        return EQUAL
-
     def min(self, points):
         pts = list(points)
         if not pts:
             raise EmptyInput("min of empty set")
         return min(pts, key=self.key)
-
-    def to_json(self):
-        return {"weight": [str(x) for x in self.weight], "perm": list(self.perm)}
-
-
-def min_under_order(points, partial_compare, total_order):
-    """Minimum of the points under the total order, plus a flag telling
-    whether that minimum is strictly below every other point in the partial
-    order (the pointedness witness used by the valuations)."""
-    pts = [vec(p) for p in points]
-    if not pts:
-        raise EmptyInput("min of empty set")
-    best = total_order.min(pts)
-    pointed = True
-    for p in pts:
-        if p == best:
-            continue
-        if partial_compare(best, p) != LESS:
-            pointed = False
-            break
-    return best, pointed

@@ -113,15 +113,6 @@ class Polytope:
         return (all(vdot(n, x) == b for n, b in self.equations)
                 and all(vdot(n, x) >= b for n, b in self.facets))
 
-    def affine_dim(self):
-        if not self.vertices:
-            return -1
-        v0 = self.vertices[0]
-        dirs = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-        if not dirs:
-            return 0
-        return Mat(dirs).rank()
-
     def translate(self, shift):
         shift = vec(shift)
         return Polytope(
@@ -262,10 +253,6 @@ class Cone:
     def contains(self, x):
         x = vec(x)
         return all(vdot(n, x) >= b for n, b in self.ineqs)
-
-    def to_json(self):
-        return [{"normal": [str(x) for x in n], "offset": str(b)}
-                for n, b in self.ineqs]
 
 
 def superpotential_cone(summands, offsets=None):

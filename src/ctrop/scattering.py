@@ -283,11 +283,9 @@ def _apply_wall(poly, wall, sign, dia, base_exp):
         if budget < 0:
             continue
         out = out + wall_cross((c, e), wall, sign, max_k=budget // wall.deg)
-    # re-truncate exactly
-    kept = {e: c for e, c in out.coeffs.items()
-            if dia.depth_of_offset(tuple(a - b for a, b in zip(e, base_exp)))
-            <= dia.order}
-    return LaurentPolynomial(kept, poly.dim)
+    # a wall's direction g has depth deg, so its j-th term adds
+    # j * deg <= budget to the depth: no term lands past the order
+    return out
 
 
 def _rel_angle_key(a, u):

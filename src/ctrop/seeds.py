@@ -1,5 +1,5 @@
-"""Fixed data, seeds and seed mutation, principal coefficients, Langlands
-duality, cluster ensemble lattice maps.
+"""Fixed data, seeds and seed mutation, principal coefficients, cluster
+ensemble lattice maps.
 
 Conventions.  A seed is addressed by its mutation word from a single
 initial seed.  The `basis` matrix stores the seed basis vectors e_{i;s} as
@@ -247,15 +247,6 @@ def build_principal(fd):
     return FixedData(2 * n, fd.unfrozen, Mat(rows), fd.d + fd.d)
 
 
-def langlands_dual(fd):
-    """Langlands dual fixed data on the basis e_i^dual = d_i e_i."""
-    d_all = lcm(*fd.d) if fd.n else 1
-    rows = [[Fraction(fd.d[i] * fd.d[j], d_all) * fd.skew.rows[i][j]
-             for j in range(fd.n)] for i in range(fd.n)]
-    d_dual = tuple(d_all // di for di in fd.d)
-    return FixedData(fd.n, fd.unfrozen, Mat(rows), d_dual)
-
-
 class EnsembleMap:
     """Matrix of a cluster ensemble lattice map p*: N -> M° in the initial
     bases, together with the kernel driving torus actions and fibrations
@@ -269,9 +260,6 @@ class EnsembleMap:
     def apply(self, n_vec):
         """p*(n) in M°-coordinates, n in initial N-coordinates."""
         return self.matrix * vec(n_vec)
-
-    def column(self, j):
-        return self.matrix.col(j)
 
 
 def ensemble_map(fd, frozen_block=None):

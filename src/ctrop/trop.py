@@ -39,34 +39,21 @@ def _bracket(x, conv):
     return x if x < 0 else 0
 
 
-def _ndeg_coords(s, k):
-    """-d_k e_{k;s} in N°-coordinates of the initial seed."""
-    d = s.fixed.d
-    row = s.basis.rows[k]
-    out = []
-    for j in range(s.fixed.n):
-        c = Fraction(-d[k] * row[j], d[j])
-        if c.denominator != 1:
-            raise BadParams("seed basis vector not in N°-scaling")
-        out.append(int(c))
-    return tuple(out)
-
-
 def _edge_data(s, k, flavor):
     """Bend functional and increment of the tropical mutation along the
-    tree edge s -> mutate(s, k).  When the word of s ends in k the edge is
-    walked backwards and the increment is negated (the honest inverse: the
-    increment pairs to zero with the bend functional)."""
+    tree edge s -> mutate(s, k), from the exchange pairing (v_k, den, row)
+    with row / den = d_k e_k in N°-coordinates.  When the word of s ends in
+    k the edge is walked backwards and the increment is negated (the honest
+    inverse: the increment pairs to zero with the bend functional)."""
     backward = bool(s.word) and s.word[-1] == k
     base = s.mutate(k) if backward else s
+    v, den, row = base.exchange_pairing("A", k)
     if flavor == "A":
-        phi = base.v_initial(k)
-        inc = _ndeg_coords(base, k)
+        if den != 1:
+            raise BadParams("seed basis vector not in N°-scaling")
+        phi, inc = v, tuple(-x for x in row)
     else:
-        d = base.fixed.d
-        phi = tuple(Fraction(d[k] * base.basis.rows[k][j], d[j])
-                    for j in range(base.fixed.n))
-        inc = base.v_initial(k)
+        phi, inc = tuple(Fraction(x, den) for x in row), v
     if backward:
         inc = tuple(-x for x in inc)
     return phi, inc
@@ -89,12 +76,6 @@ def trop_mutate(pt, k, s, flavor):
     return TropicalPoint(s.mutate(k).word, coords, pt.conv)
 
 
-def i_involution(pt):
-    """Coordinate negation, flipping the min/max convention."""
-    return TropicalPoint(pt.word, tuple(-x for x in pt.coords),
-                         "t" if pt.conv == "T" else "T")
-
-
 class PLFunction:
     """Tropicalization of a positive Laurent polynomial: x -> -max <l, x>
     over the support for the T convention, x -> min <l, x> for t."""
@@ -113,13 +94,6 @@ class PLFunction:
         if self.kind == "T":
             return -max(vals)
         return min(vals)
-
-    def to_json(self):
-        return {"kind": self.kind, "support": [list(e) for e in self.support]}
-
-    @staticmethod
-    def from_json(data):
-        return PLFunction(data["kind"], data["support"])
 
 
 def tropicalize(f, conv):

@@ -1,13 +1,45 @@
 import pytest
 
 from ctrop.errors import BadParams
-from ctrop.grassmannian import (GrData, bodies_unimodular,
+from ctrop.grassmannian import (GrData, _exchange_step, bodies_unimodular,
                                 cluster_bfs_g_vectors, gt_valuation,
                                 gt_vector, hook_g_table, hook_g_vector,
-                                homogenized_g, index_from_young, no_body,
+                                homogenized_g, no_body,
                                 psi_matrix, rectangles_seed, verify_val_gv,
                                 young_from_index)
+from ctrop.laurent import LaurentPolynomial, is_pointed
 from ctrop.linalg import Mat, vec
+
+
+def index_from_young(lam, k, n):
+    """Inverse of young_from_index."""
+    gr = GrData(k, n)
+    lam = tuple(lam) + (0,) * (gr.rows - len(lam))
+    if len(lam) != gr.rows or any(lam[i] < lam[i + 1]
+                                  for i in range(len(lam) - 1)) \
+            or (lam and lam[0] > k):
+        raise BadParams("not a diagram in the grid")
+    J = []
+    pos = 0
+    west_used = 0
+    for r in range(gr.rows):
+        # west steps before the r-th south step: k - lam[r]
+        while west_used < k - lam[r]:
+            pos += 1
+            west_used += 1
+        pos += 1
+        J.append(pos)
+    return tuple(J)
+
+
+def rectangle_index_set(gr, i, j):
+    """Plücker index J whose Young diagram is the i x j rectangle (or the
+    empty one for i = j = 0)."""
+    k, n = gr.cols, gr.n
+    if i == 0 and j == 0:
+        return tuple(range(k + 1, n + 1))
+    return tuple(range(k - j + 1, k - j + i + 1)) \
+        + tuple(range(k + i + 1, n + 1))
 
 
 def test_grdata_counts():
@@ -114,7 +146,7 @@ def test_frozen_gt_through_psi():
     # frozen Plückers: the GT tableau maps to the frozen g-vector
     gr = GrData(2, 4)
     psi = psi_matrix(2, 4)
-    J = gr.rectangle_index_set(0, 0)
+    J = rectangle_index_set(gr, 0, 0)
     val = (0,) + gt_vector(J, 2, 4)
     lhs = tuple(-int(x) for x in psi * vec(val))
     assert lhs == tuple(homogenized_g(J, 2, 4))
@@ -151,3 +183,38 @@ def test_bfs_gr25_closure():
     found = set(g for gl in bfs.values() for _, g in gl)
     assert found == table
     assert len(table) == 10
+
+
+def _bfs_pointing_every_variable(k, n, depth, opposite):
+    """The BFS of cluster_bfs_g_vectors with the pointedness test rerun on
+    every cluster variable of every seed, not only on the exchanged one."""
+    fd, seed0, em = rectangles_seed(k, n, opposite=opposite)
+    init = [LaurentPolynomial.monomial(tuple(int(t == v) for t in range(fd.n)))
+            for v in range(fd.n)]
+    out = {(): [(v, is_pointed(f, seed0, em)) for v, f in enumerate(init)]}
+    seen = {seed0.key()}
+    frontier = [(seed0, init)]
+    for _ in range(depth):
+        nxt = []
+        for seed, variables in frontier:
+            for kdir in sorted(fd.unfrozen):
+                s2 = seed.mutate(kdir)
+                if s2.key() in seen:
+                    continue
+                seen.add(s2.key())
+                new_vars = list(variables)
+                new_vars[kdir] = _exchange_step(seed, variables, kdir)
+                out[s2.word] = [(v, is_pointed(f, seed0, em))
+                                for v, f in enumerate(new_vars)]
+                assert all(g is not None for _, g in out[s2.word])
+                nxt.append((s2, new_vars))
+        frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize("k, n, depth, opposite", [
+    (3, 5, 5, True), (4, 6, 4, True), (3, 6, 4, True), (3, 6, 3, False)])
+def test_bfs_matches_pointing_every_variable(k, n, depth, opposite):
+    got = cluster_bfs_g_vectors(k, n, depth, opposite=opposite)
+    want = _bfs_pointing_every_variable(k, n, depth, opposite)
+    assert list(got.items()) == list(want.items())

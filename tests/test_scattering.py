@@ -502,3 +502,15 @@ def test_dependent_wall_directions_are_rejected():
                             3, 4)
     with pytest.raises(BadParams, match="dependent"):
         dia.offset_depth((0, 1, 0))
+
+
+def test_wall_depth_is_the_wall_degree():
+    # a wall crossing keeps every term it makes without measuring its depth
+    # again: the j-th wall term adds j * deg to the depth, so the depth of
+    # each wall's exponent direction must be its degree
+    diagrams = [fixture_diagram(name, order, principal)[0]
+                for order in (4, 8, 12) for principal in (False, True)
+                for name in ("a2", "running-example", "kronecker")]
+    for dia in diagrams + [gr36_fixture_diagram()[0]]:
+        for w in dia.walls:
+            assert dia.offset_depth(w.g) == w.deg, (w, dia.order)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,11 +10,20 @@ from ctrop.errors import FrozenIndex
 from ctrop.grassmannian import rectangles_seed
 from ctrop.linalg import Mat
 from ctrop.seeds import (FixedData, build_principal, ensemble_map,
-                         langlands_dual, optimized_check,
-                         principal_ensemble_map, seed_from_json, seed_to_json)
+                         optimized_check, principal_ensemble_map,
+                         seed_from_json, seed_to_json)
 
 A2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 1))
 RUNNING = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 2))
+
+
+def langlands_dual(fd):
+    """Langlands dual fixed data on the basis e_i^dual = d_i e_i."""
+    d_all = lcm(*fd.d) if fd.n else 1
+    rows = [[Fraction(fd.d[i] * fd.d[j], d_all) * fd.skew.rows[i][j]
+             for j in range(fd.n)] for i in range(fd.n)]
+    d_dual = tuple(d_all // di for di in fd.d)
+    return FixedData(fd.n, fd.unfrozen, Mat(rows), d_dual)
 
 
 def test_epsilon():
