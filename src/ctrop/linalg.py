@@ -72,10 +72,11 @@ def independent_rows(rows):
 class Mat:
     """Dense exact matrix over the rationals.
 
-    A Mat is immutable, so its reduced echelon form (with the determinant
-    factor of the elimination) and the integer transform of one
-    elimination of [A | I] are computed on first use and kept in slots of
-    their own; solve, inverse and det read them.
+    A Mat is immutable, so its reduced echelon form (with the determinant)
+    and the integer transform of one elimination of [A | I] are computed
+    on first use and kept in slots of their own; solve, inverse and det
+    read them, and the transform's elimination also gives the echelon
+    form.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "_rref", "_transform")
@@ -156,11 +157,22 @@ class Mat:
         return [list(r) for r in rows], list(pivots)
 
     def _eliminate(self):
-        """Gauss-Jordan elimination: (rows, pivots, det), det the signed
-        product of the pivots (the determinant if square of full rank)."""
-        rows = [list(r) for r in self.rows]
+        """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on the rows
+        scaled once to integers: (rows, pivots, det), det the determinant
+        when the matrix is square of full rank.
+
+        After each pivot p every row but the pivot row becomes
+        (p * row - c * pivot_row) // prev, prev the pivot before, and the
+        division is exact.  Every pivot entry ends equal to the last pivot,
+        so the reduced rows are the integer rows divided by it."""
+        scale = 1
+        rows = []
+        for r in self.rows:
+            den, ints = integer_scale(r)
+            scale *= den
+            rows.append(ints)
         pivots = []
-        det = Fraction(1)
+        sign, prev = 1, 1
         pr = 0
         for pc in range(self.ncols):
             sel = None
@@ -172,19 +184,25 @@ class Mat:
                 continue
             if sel != pr:
                 rows[pr], rows[sel] = rows[sel], rows[pr]
-                det = -det
-            det *= rows[pr][pc]
-            inv = Fraction(1, 1) / rows[pr][pc]
-            rows[pr] = [x * inv for x in rows[pr]]
-            for r in range(len(rows)):
-                if r != pr and rows[r][pc] != 0:
-                    c = rows[r][pc]
-                    rows[r] = [x - c * y for x, y in zip(rows[r], rows[pr])]
+                sign = -sign
+            prow = rows[pr]
+            p = prow[pc]
+            for r, row in enumerate(rows):
+                if r == pr:
+                    continue
+                c = row[pc]
+                if c:
+                    rows[r] = [(p * x - c * y) // prev
+                               for x, y in zip(row, prow)]
+                elif p != prev:
+                    rows[r] = [p * x // prev for x in row]
+            prev = p
             pivots.append(pc)
             pr += 1
             if pr == len(rows):
                 break
-        return rows, pivots, det
+        rows = [[Fraction(x, prev) for x in row] for row in rows]
+        return rows, pivots, Fraction(sign * prev, scale)
 
     def _echelon(self):
         """The stored (rows, pivots, det) of the elimination, as tuples;
@@ -198,14 +216,22 @@ class Mat:
         E A = den R, R the reduced echelon form of A, and R's pivot
         columns.  E is den times the right block of the elimination of
         [A | I], so it is invertible and its rows past the rank annihilate
-        the column space."""
+        the column space.  The left block fills the echelon form when it
+        is not there yet."""
         if self._transform is None:
             n, m = self.ncols, self.nrows
-            rows, pivots = Mat([list(r) + [int(i == j) for j in range(m)]
-                                for i, r in enumerate(self.rows)]).rref()
+            aug = Mat([list(r) + [int(i == j) for j in range(m)]
+                       for i, r in enumerate(self.rows)])
+            rows, pivots = aug.rref()
             den, flat = integer_scale([x for r in rows for x in r[n:]])
-            self._transform = ([flat[i:i + m] for i in range(0, m * m, m)],
-                               den, tuple(p for p in pivots if p < n))
+            pivots = tuple(p for p in pivots if p < n)
+            self._transform = ([flat[i * m:(i + 1) * m] for i in range(m)],
+                               den, pivots)
+            if self._rref is None:
+                # the left block of [A | I]'s reduced form is A's, so
+                # rank, kernel and det need no elimination of their own
+                self._rref = (tuple(tuple(r[:n]) for r in rows), pivots,
+                              aug._rref[2])
         return self._transform
 
     def rank(self):
@@ -281,7 +307,7 @@ def dominance_compare(m1, m2, pstar_cols):
 
 class TotalOrder:
     """Graded-lexicographic comparator: weight functional first, then
-    lexicographic comparison after a coordinate permutation.
+    lexicographic comparison of the coordinates.
 
     The weight may be any rational vector.  `refining` builds a weight that
     is strictly positive on the image cone of a full-column-rank matrix, so
@@ -289,9 +315,8 @@ class TotalOrder:
     order (an all-positive weight cannot do this in general).
     """
 
-    def __init__(self, weight, perm=None):
+    def __init__(self, weight):
         self.weight = vec(weight)
-        self.perm = tuple(perm) if perm is not None else tuple(range(len(self.weight)))
         # keys use the weight scaled to integers: a positive scale keeps
         # the order
         self._iweight = integer_scale(self.weight)[1]
@@ -306,7 +331,7 @@ class TotalOrder:
 
     def key(self, m):
         mv = vec(m)
-        return (vdot(self._iweight, mv), tuple(mv[p] for p in self.perm))
+        return (vdot(self._iweight, mv), mv)
 
     def min(self, points):
         pts = list(points)

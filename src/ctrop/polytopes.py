@@ -92,9 +92,6 @@ class AffineSubspace:
         if any(len(n) != dim for n, _ in self.equalities):
             raise BadParams("equations must have dimension %d" % dim)
 
-    def contains(self, x):
-        return all(vdot(n, x) == v for n, v in self.equalities)
-
 
 class Polytope:
     """Bounded rational polytope with V- and H-representations."""
@@ -154,15 +151,19 @@ def convex_hull(points):
     if not pts:
         raise EmptyInput("hull of empty point set")
     dim = len(pts[0])
+    if any(len(p) != dim for p in pts):
+        raise BadParams("points must all have the same length")
     pts = sorted(set(pts))
     x0 = pts[0]
-    dirs = [tuple(a - b for a, b in zip(p, x0)) for p in pts]
-    W = Mat([dirs[i] for i in independent_rows(dirs)])
-    d = W.nrows
+    # the directions p - x0 on one denominator: integer vectors U
+    den, flat = integer_scale([a - b for p in pts for a, b in zip(p, x0)])
+    U = [flat[i * dim:(i + 1) * dim] for i in range(len(pts))]
+    W = [clear_denominators(U[i]) for i in independent_rows(U)]
+    d = len(W)
 
     # affine hull equations: kernel of the direction space
     if d < dim:
-        eq_basis = W.kernel() if d else [
+        eq_basis = Mat(W).kernel() if d else [
             tuple(r) for r in Mat.identity(dim).rows]
         equations = [(h, vdot(h, x0)) for h in eq_basis]
     else:
@@ -171,16 +172,16 @@ def convex_hull(points):
     if d == 0:
         return Polytope([x0], [], equations, dim)
 
-    # coordinates in the basis: the left inverse (W W^T)^-1 W, whose
-    # transpose lifts facet normals back to the ambient space
-    left = (W * W.transpose()).inverse() * W
     # facets are the extreme rays (b, n) of the cone {b + <n, c_i> >= 0}
-    # over the point coordinates c_i; each is <n, c> >= -b in the basis
-    rays, tight = _extreme_rays([(1,) + left * u for u in dirs], d + 1)
-    lift_t = left.transpose()
+    # over the integer Gram coordinates c_i = W u_i, u_i = den (p_i - x0)
+    # (an invertible change of the coordinates in the span); such a ray is
+    # the facet <phi, p - x0> >= -b with phi = den W^T n
+    rays, tight = _extreme_rays(
+        [(1,) + tuple(vdot(w, u) for w in W) for u in U], d + 1)
+    WT = list(zip(*W))
     facets = []
     for b, *n in rays:
-        phi = lift_t * n
+        phi = tuple(den * vdot(col, n) for col in WT)
         nrm = clear_denominators(phi + (vdot(phi, x0) - b,))
         facets.append((nrm[:-1], Fraction(nrm[-1])))
 
@@ -214,26 +215,26 @@ def vertices_from_hrep(ineqs, equalities, dim):
             if vdot(vec(n), x0) < b:
                 return []
         return [x0]
-    W = Mat(Wrows)
-    WT = W.transpose()
     rows = []
     for n, b in ineqs:
         n = vec(n)
-        rows.append(W * n + (vdot(n, x0) - Fraction(b),))
+        rows.append(tuple(vdot(w, n) for w in Wrows)
+                    + (vdot(n, x0) - Fraction(b),))
     rows.append((Fraction(0),) * d + (Fraction(1),))
     try:
         rays, _ = _extreme_rays(rows, d + 1)
     except BadParams:
         raise Unbounded("region contains a line")
+    # the kernel rows and the rays are integers: x = x0 + W^T n / t
+    WT = list(zip(*Wrows))
     verts = []
-    for r in rays:
-        if r[-1] == 0:
-            if any(x != 0 for x in r[:-1]):
+    for *n, t in rays:
+        if t == 0:
+            if any(n):
                 raise Unbounded("region has a recession ray")
             continue
-        t = tuple(Fraction(x, r[-1]) for x in r[:-1])
-        xt = tuple(a + vdot(col, t) for a, col in zip(x0, WT.rows))
-        verts.append(xt)
+        verts.append(tuple(a + Fraction(vdot(col, n), t)
+                           for a, col in zip(x0, WT)))
     return sorted(set(verts))
 
 
@@ -249,10 +250,6 @@ class Cone:
         self.dim = dim
         if any(len(n) != dim for n, _ in self.ineqs):
             raise BadParams("cone normals must have dimension %d" % dim)
-
-    def contains(self, x):
-        x = vec(x)
-        return all(vdot(n, x) >= b for n, b in self.ineqs)
 
 
 def superpotential_cone(summands, offsets=None):

@@ -137,7 +137,8 @@ class ScatteringDiagram:
         """(G, degrees): the matrix whose columns are the exponent
         directions depth is measured against (the p*_1 images of the
         mutable basis vectors, or the distinct wall directions), and their
-        degrees.  Built on the first depth query and kept on the diagram."""
+        degrees.  Built on the first depth query and kept on the diagram;
+        every query checks that the directions are independent."""
         if self._depth is None:
             if self.fd is not None and self.unfrozen is not None:
                 gs = [self.fd.epsilon().rows[k] for k in self.unfrozen]
@@ -147,16 +148,18 @@ class ScatteringDiagram:
                 for w in self.walls:
                     gens.setdefault(w.g, w.deg)
                 gs, degs = list(gens), list(gens.values())
-            G = Mat([[g[i] for g in gs] for i in range(self.dim)])
-            if G.rank() != len(gs):
-                raise BadParams("wall exponent directions are dependent")
-            self._depth = G, degs
+            self._depth = (Mat([[g[i] for g in gs] for i in range(self.dim)]),
+                           degs)
         return self._depth
 
     def offset_coefficients(self, offset):
         """Integer coefficients of an exponent offset on the generator
         columns, or None if it is no integer combination of them."""
-        sol = self._generators()[0].solve(offset)
+        G, degs = self._generators()
+        sol = G.solve(offset)
+        # the elimination of [G | I] behind solve also gives G's rank
+        if G.rank() != len(degs):
+            raise BadParams("wall exponent directions are dependent")
         if sol is None or any(c.denominator != 1 for c in sol):
             return None
         return [c.numerator for c in sol]

@@ -250,3 +250,88 @@ def _check_solve(sympy, m, s, rng, frac):
         # y with y A = 0: y.(b + y) = y.y != 0, so b + y is no A x
         y = [frac(v) for v in left[0]]
         assert m.solve(tuple(u + v for u, v in zip(b, y))) is None
+
+
+def _fraction_gauss_jordan(rows, ncols):
+    """Reference: Gauss-Jordan elimination on Fractions, (rows, pivots,
+    det) with det the signed product of the pivots."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    det = Fraction(1)
+    pr = 0
+    for pc in range(ncols):
+        sel = next((r for r in range(pr, len(rows)) if rows[r][pc] != 0),
+                   None)
+        if sel is None:
+            continue
+        if sel != pr:
+            rows[pr], rows[sel] = rows[sel], rows[pr]
+            det = -det
+        det *= rows[pr][pc]
+        inv = 1 / rows[pr][pc]
+        rows[pr] = [x * inv for x in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][pc] != 0:
+                c = rows[r][pc]
+                rows[r] = [x - c * y for x, y in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots, det
+
+
+def _random_rational_matrix(rng):
+    """Random rational matrix, 0 to 6 rows and columns: uniform entries or
+    a product of rank-r factors, some columns zeroed, rows shuffled."""
+    m, n = rng.randint(0, 6), rng.randint(0, 6)
+    if rng.random() < 0.4:
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                 for _ in range(n)] for _ in range(m)]
+    else:
+        r = rng.randint(0, min(m, n))
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+              for _ in range(r)] for _ in range(m)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        rows = [[sum((x * y[j] for x, y in zip(row, b)), Fraction(0))
+                 for j in range(n)] for row in a]
+    for j in range(n):
+        if rng.random() < 0.2:
+            for row in rows:
+                row[j] = 0
+    rng.shuffle(rows)
+    return rows, n
+
+
+def test_fraction_free_elimination_matches_fraction_reference():
+    # Mat eliminates on integers (Bareiss); the Fraction elimination it
+    # replaced is the reference, also when solve runs first and the echelon
+    # form is read from the elimination of [A | I]
+    rng = random.Random(67)
+    shapes = set()
+    for _ in range(600):
+        rows, n = _random_rational_matrix(rng)
+        want_rows, want_pivots, want_det = _fraction_gauss_jordan(rows, n)
+        fresh, solved = Mat(rows), Mat(rows)
+        solved.solve([0] * len(rows))
+        for m in (fresh, solved):
+            got_rows, got_pivots = m.rref()
+            assert got_pivots == want_pivots
+            assert got_rows == want_rows
+            assert m.rank() == len(want_pivots)
+            if len(rows) == n:
+                assert m.det() == (want_det if len(want_pivots) == n else 0)
+        shapes.add((len(rows) > n, len(rows) < n, len(want_pivots)
+                    < min(len(rows), n), len(rows) == 0))
+    assert len(shapes) >= 5
+
+
+def test_solve_reads_the_rank_from_its_own_elimination(monkeypatch):
+    calls = []
+    inner = Mat.rref
+    monkeypatch.setattr(Mat, "rref",
+                        lambda self: calls.append(1) or inner(self))
+    m = Mat([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 0, 1]])
+    assert m.solve((1, 2, 0)) is not None
+    assert m.rank() == 2 and len(m.kernel()) == 1
+    assert len(calls) == 1

@@ -64,21 +64,26 @@ def test_hv_round_trip_fuzz():
             assert tuple(sorted(verts)) == p.vertices
 
 
+def _cone_contains(cone, x):
+    return all(vdot(n, x) >= b for n, b in cone.ineqs)
+
+
 def test_superpotential_cone_monomial():
     g = PLFunction("t", [(1, 2)])
     cone = superpotential_cone([g], [0])
-    assert cone.contains((1, 0)) and cone.contains((0, 0))
-    assert not cone.contains((-1, 0))
+    assert _cone_contains(cone, (1, 0)) and _cone_contains(cone, (0, 0))
+    assert not _cone_contains(cone, (-1, 0))
     gT = PLFunction("T", [(1, 0)])
     coneT = superpotential_cone([gT], [0])
-    assert coneT.contains((-2, 5)) and not coneT.contains((1, 0))
+    assert _cone_contains(coneT, (-2, 5))
+    assert not _cone_contains(coneT, (1, 0))
 
 
 def test_superpotential_offsets():
     g = PLFunction("t", [(1, 0), (0, 1)])
     c = superpotential_cone([g], [-2])
     # min(x, y) >= -2 expands into two exact linear inequalities
-    assert c.contains((-2, 5)) and not c.contains((-3, 0))
+    assert _cone_contains(c, (-2, 5)) and not _cone_contains(c, (-3, 0))
     assert len(c.ineqs) == 2
 
 
@@ -320,9 +325,9 @@ def test_independent_rows_matches_greedy_rank_selection():
 
 
 def test_gr36_hull_eliminates_at_most_five_times(monkeypatch):
-    # one pick of independent directions, one left inverse, one kernel
-    # for the affine hull, two in the double description; vertex status
-    # is read from its incidences
+    # one pick of independent directions, one kernel for the affine hull,
+    # two in the double description (four in all: the coordinates need no
+    # inverse); vertex status is read from its incidences
     gr = GrData(3, 6)
     pts = [homogenized_g(J, 3, 6) for J in gr.plucker_indices()]
     calls = []
@@ -331,3 +336,28 @@ def test_gr36_hull_eliminates_at_most_five_times(monkeypatch):
                         lambda self: calls.append(1) or inner(self))
     convex_hull(pts)
     assert len(calls) <= 5
+
+
+def test_gr36_hull_takes_one_inverse_and_no_matrix_product(monkeypatch):
+    # the hull coordinates are integer Gram coordinates: no left inverse
+    # (W W^T)^-1 W and no Mat products; the one inverse is the double
+    # description's initial simplicial cone
+    gr = GrData(3, 6)
+    pts = [homogenized_g(J, 3, 6) for J in gr.plucker_indices()]
+    calls = {"inverse": 0, "__mul__": 0}
+    for name in calls:
+        inner = getattr(linalg.Mat, name)
+
+        def counted(self, *args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(self, *args)
+        monkeypatch.setattr(linalg.Mat, name, counted)
+    convex_hull(pts)
+    assert calls == {"inverse": 1, "__mul__": 0}
+
+
+def test_hull_rejects_points_of_different_lengths():
+    with pytest.raises(BadParams, match="same length"):
+        convex_hull([(0, 0), (1, 0, 5), (0, 1)])
+    with pytest.raises(BadParams, match="same length"):
+        convex_hull([(0, 0, 0), (1, 0)])

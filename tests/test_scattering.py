@@ -502,6 +502,8 @@ def test_dependent_wall_directions_are_rejected():
                             3, 4)
     with pytest.raises(BadParams, match="dependent"):
         dia.offset_depth((0, 1, 0))
+    with pytest.raises(BadParams, match="dependent"):
+        dia.offset_depth((0, 2, 0))
 
 
 def test_wall_depth_is_the_wall_degree():
@@ -514,3 +516,17 @@ def test_wall_depth_is_the_wall_degree():
     for dia in diagrams + [gr36_fixture_diagram()[0]]:
         for w in dia.walls:
             assert dia.offset_depth(w.g) == w.deg, (w, dia.order)
+
+
+def test_depth_queries_eliminate_once(monkeypatch):
+    # the rank check and every offset solve read one elimination of
+    # [G | I]; at_order gives a diagram with no generators yet
+    dia = fixture_diagram("kronecker", 6, False)[0]
+    dia = dia.at_order(dia.order + 1)
+    calls = []
+    inner = Mat.rref
+    monkeypatch.setattr(Mat, "rref",
+                        lambda self: calls.append(1) or inner(self))
+    for w in dia.walls:
+        assert dia.offset_depth(w.g) == w.deg
+    assert len(calls) == 1
