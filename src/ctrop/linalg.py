@@ -65,21 +65,24 @@ def clear_denominators(a):
 
 def independent_rows(rows):
     """Indices of the rows independent of the rows before them: the pivot
-    columns of one elimination of the transpose."""
-    return Mat(rows).transpose().rref()[1]
+    columns of one elimination of the matrix with these rows as columns."""
+    return Mat(zip(*rows)).rref()[1]
 
 
 class Mat:
     """Dense exact matrix over the rationals.
 
-    A Mat is immutable, so its reduced echelon form (with the determinant)
-    and the integer transform of one elimination of [A | I] are computed
-    on first use and kept in slots of their own; solve, inverse and det
-    read them, and the transform's elimination also gives the echelon
-    form.
+    A Mat is immutable, and its one elimination is kept in a slot: the
+    fraction-free Gauss-Jordan form (Bareiss 1968) of [S A | S], S the
+    diagonal of the least row scales that make A integral, with pivots
+    taken in A's columns only.  Its left block is last * R, R the reduced
+    echelon form and last the last pivot; its right block E is an
+    invertible integer matrix with E A = last * R, so the rows of E past
+    the rank annihilate the column space.  rref fills the slot; rank,
+    kernel and det read the left block, solve and inverse read E.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_rref", "_transform")
+    __slots__ = ("rows", "nrows", "ncols", "_form")
 
     def __init__(self, rows):
         self.rows = tuple(vec(r) for r in rows)
@@ -88,8 +91,7 @@ class Mat:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix")
-        self._rref = None
-        self._transform = None
+        self._form = None
 
     @staticmethod
     def identity(n):
@@ -147,36 +149,35 @@ class Mat:
     def rref(self):
         """Reduced row echelon form; returns (list of rows, pivot columns).
 
-        The lists are fresh on every call; the form itself is computed once
-        per matrix."""
-        if self._rref is None:
-            rows, pivots, det = self._eliminate()
-            self._rref = tuple(tuple(r) for r in rows), tuple(pivots), det
-            return rows, pivots
-        rows, pivots, _ = self._rref
-        return [list(r) for r in rows], list(pivots)
+        The lists are fresh on every call; the elimination behind them runs
+        once per matrix."""
+        if self._form is None:
+            self._form = self._eliminate()
+        left, _, pivots, last, _ = self._form
+        return [[Fraction(x, last) for x in r] for r in left], list(pivots)
 
     def _eliminate(self):
-        """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on the rows
-        scaled once to integers: (rows, pivots, det), det the determinant
-        when the matrix is square of full rank.
+        """Fraction-free Gauss-Jordan elimination of [S A | S]: (left
+        block, right block E, pivots, last pivot, det), det the determinant
+        when A is square of full rank.
 
         After each pivot p every row but the pivot row becomes
         (p * row - c * pivot_row) // prev, prev the pivot before, and the
-        division is exact.  Every pivot entry ends equal to the last pivot,
-        so the reduced rows are the integer rows divided by it."""
+        division is exact.  Every pivot entry ends equal to the last
+        pivot."""
+        n, m = self.ncols, self.nrows
         scale = 1
         rows = []
-        for r in self.rows:
+        for i, r in enumerate(self.rows):
             den, ints = integer_scale(r)
             scale *= den
-            rows.append(ints)
+            rows.append(list(ints) + [den if j == i else 0 for j in range(m)])
         pivots = []
         sign, prev = 1, 1
         pr = 0
-        for pc in range(self.ncols):
+        for pc in range(n):
             sel = None
-            for r in range(pr, len(rows)):
+            for r in range(pr, m):
                 if rows[r][pc] != 0:
                     sel = r
                     break
@@ -199,55 +200,39 @@ class Mat:
             prev = p
             pivots.append(pc)
             pr += 1
-            if pr == len(rows):
+            if pr == m:
                 break
-        rows = [[Fraction(x, prev) for x in row] for row in rows]
-        return rows, pivots, Fraction(sign * prev, scale)
+        return (tuple(tuple(r[:n]) for r in rows),
+                tuple(tuple(r[n:]) for r in rows), tuple(pivots), prev,
+                Fraction(sign * prev, scale))
 
-    def _echelon(self):
-        """The stored (rows, pivots, det) of the elimination, as tuples;
-        the first call eliminates through `rref`."""
-        if self._rref is None:
+    def _elimination(self):
+        """The stored elimination; the first call eliminates through
+        `rref`."""
+        if self._form is None:
             self.rref()
-        return self._rref
-
-    def _transformed(self):
-        """(E, den, pivots): the integer matrix E and least den > 0 with
-        E A = den R, R the reduced echelon form of A, and R's pivot
-        columns.  E is den times the right block of the elimination of
-        [A | I], so it is invertible and its rows past the rank annihilate
-        the column space.  The left block fills the echelon form when it
-        is not there yet."""
-        if self._transform is None:
-            n, m = self.ncols, self.nrows
-            aug = Mat([list(r) + [int(i == j) for j in range(m)]
-                       for i, r in enumerate(self.rows)])
-            rows, pivots = aug.rref()
-            den, flat = integer_scale([x for r in rows for x in r[n:]])
-            pivots = tuple(p for p in pivots if p < n)
-            self._transform = ([flat[i * m:(i + 1) * m] for i in range(m)],
-                               den, pivots)
-            if self._rref is None:
-                # the left block of [A | I]'s reduced form is A's, so
-                # rank, kernel and det need no elimination of their own
-                self._rref = (tuple(tuple(r[:n]) for r in rows), pivots,
-                              aug._rref[2])
-        return self._transform
+        return self._form
 
     def rank(self):
-        return len(self._echelon()[1])
+        return len(self._elimination()[2])
 
     def kernel(self):
         """Basis of the right kernel, as primitive integer vectors."""
-        rows, pivots, _ = self._echelon()
-        free = [j for j in range(self.ncols) if j not in pivots]
+        left, _, pivots, last, _ = self._elimination()
+        # the left block is last * R, so the free column fc gives the
+        # kernel vector with |last| at fc and -sign(last) * left[i][fc] at
+        # the i-th pivot column
+        sign = 1 if last > 0 else -1
         basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -rows[i][fc]
-            basis.append(clear_denominators(v))
+        for fc in range(self.ncols):
+            if fc in pivots:
+                continue
+            v = [0] * self.ncols
+            v[fc] = abs(last)
+            for row, pc in zip(left, pivots):
+                v[pc] = -sign * row[fc]
+            g = gcd(*v)
+            basis.append(tuple(x // g for x in v))
         return basis
 
     def solve(self, b):
@@ -255,28 +240,28 @@ class Mat:
         if len(b) != self.nrows:
             raise ValueError("right-hand side has %d entries for %d rows"
                              % (len(b), self.nrows))
-        E, den, pivots = self._transformed()
+        _, E, pivots, last, _ = self._elimination()
         y = [vdot(row, b) for row in E]
         if any(y[len(pivots):]):
             return None
-        # R x = E b / den, with the free variables at 0
+        # R x = E b / last, with the free variables at 0
         x = [Fraction(0)] * self.ncols
         for pc, yi in zip(pivots, y):
-            x[pc] = Fraction(yi, den)
+            x[pc] = Fraction(yi, last)
         return tuple(x)
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise RankError("not square")
-        E, den, pivots = self._transformed()
+        _, E, pivots, last, _ = self._elimination()
         if len(pivots) != self.nrows:
             raise RankError("singular matrix")
-        return Mat([[Fraction(x, den) for x in row] for row in E])
+        return Mat([[Fraction(x, last) for x in row] for row in E])
 
     def det(self):
         if self.nrows != self.ncols:
             raise RankError("not square")
-        _, pivots, det = self._echelon()
+        _, _, pivots, _, det = self._elimination()
         return det if len(pivots) == self.nrows else Fraction(0)
 
 

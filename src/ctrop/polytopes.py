@@ -25,15 +25,15 @@ def _extreme_rays(rows, dim):
     vanishing on it.  Classical double description with the combinatorial
     adjacency test, on integer rows and rays (Fukuda and Prodon 1996).
     """
-    # initial simplicial subcone from the first dim independent rows
-    idx = independent_rows(rows)
-    if len(idx) != dim:
-        raise BadParams("cone is not pointed")
-    inv = Mat([rows[i] for i in idx]).inverse()
-    rays = [clear_denominators(inv.col(j)) for j in range(dim)]
     # a positive scaling keeps each halfspace, so the rows can be primitive
     # integer rows: from here on every pairing and new ray is an int vector
     A = [clear_denominators(vec(r)) for r in rows]
+    # initial simplicial subcone from the first dim independent rows
+    idx = independent_rows(A)
+    if len(idx) != dim:
+        raise BadParams("cone is not pointed")
+    inv = Mat([A[i] for i in idx]).inverse()
+    rays = [clear_denominators(inv.col(j)) for j in range(dim)]
     processed = list(idx)
     tight = []
     for r in rays:

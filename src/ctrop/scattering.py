@@ -157,7 +157,7 @@ class ScatteringDiagram:
         columns, or None if it is no integer combination of them."""
         G, degs = self._generators()
         sol = G.solve(offset)
-        # the elimination of [G | I] behind solve also gives G's rank
+        # the one elimination behind solve also gives G's rank
         if G.rank() != len(degs):
             raise BadParams("wall exponent directions are dependent")
         if sol is None or any(c.denominator != 1 for c in sol):
@@ -197,8 +197,6 @@ class ScatteringDiagram:
 
 def _on_ray(y, u):
     """Is the 2d point y on the closed ray through u (u != 0)?"""
-    if len(y) == 1:
-        return y[0] * u[0] >= 0
     cross = y[0] * u[1] - y[1] * u[0]
     return cross == 0 and y[0] * u[0] + y[1] * u[1] >= 0
 
@@ -217,6 +215,8 @@ def initial_diagram(fd, p, order):
     ks = sorted(fd.unfrozen)
     if len(ks) > 2:
         raise RankUnsupported("scattering needs at most 2 mutable directions")
+    if order < 0:
+        raise BadParams("truncation order must be nonnegative")
     eps = fd.epsilon()
     walls = []
     for k in ks:
@@ -312,13 +312,9 @@ def _loop_rays(dia):
     for i, w in enumerate(dia.walls):
         if w.kind == "line":
             phip = [Fraction(w.phi[j]) for j in ks]
-            if len(ks) == 1:
-                out.append(((Fraction(1),), i))
-                out.append(((Fraction(-1),), i))
-            else:
-                u = (-phip[1], phip[0])
-                out.append((u, i))
-                out.append(((-u[0], -u[1]), i))
+            u = (-phip[1], phip[0])
+            out.append((u, i))
+            out.append(((-u[0], -u[1]), i))
         else:
             out.append((dia.ray_dir(w), i))
     return out
@@ -343,25 +339,10 @@ def _crossings(dia, chambers):
     rays = _loop_rays(dia)
     for d in dirs:
         for u, i in rays:
-            if len(u) == 1:
-                if d[0] * u[0] > 0:
-                    raise SingularPath("chamber direction on a wall")
-            elif d[0] * u[1] - d[1] * u[0] == 0 and d[0] * u[0] + d[1] * u[1] > 0:
+            if d[0] * u[1] - d[1] * u[0] == 0 and d[0] * u[0] + d[1] * u[1] > 0:
                 raise SingularPath("chamber direction on a wall")
     crossings = []
     for a, b in zip(dirs, dirs[1:]):
-        if len(a) == 1:
-            # rank 1: a sweep from a to b crosses a half-line once iff the
-            # endpoint signs differ; against-the-flow normal points back
-            # toward the start side.
-            seen = set()
-            for u, i in rays:
-                if a[0] * u[0] > 0 and b[0] * u[0] < 0 and i not in seen:
-                    phik = dia.walls[i].phi[dia.unfrozen[0]]
-                    sign = 1 if phik * a[0] > 0 else -1
-                    crossings.append((i, sign))
-                    seen.add(i)
-            continue
         key_b = _rel_angle_key(a, b)
         if key_b is None:
             continue  # repeated direction: empty arc
@@ -389,8 +370,13 @@ def path_ordered_product(chambers, dia, order=None):
     chamber directions (2d shadow), as images of the coordinate monomials.
 
     The path sweeps counterclockwise from each direction to the next.
-    Raises SingularPath if a chamber direction lies on a wall.
+    Raises SingularPath if a chamber direction lies on a wall, and
+    RankUnsupported below two mutable directions, where there is no 2d
+    shadow to sweep.
     """
+    if len(_mutable(dia)) < 2:
+        raise RankUnsupported("path-ordered products need 2 mutable "
+                              "directions")
     dia = dia.at_order(order)
     crossings = _crossings(dia, chambers)
     return {j: _apply_crossings(dia, crossings,
@@ -660,6 +646,8 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
     if not any(m):
         raise BadParams("initial exponent must be nonzero")
     bound = degree_bound if degree_bound is not None else dia.order
+    if bound < 0:
+        raise BadParams("degree bound must be nonnegative")
     x0 = _sized(dia, vec(endpoint), "endpoint")
     h0 = tuple(vdot(w.phi, x0) for w in dia.walls)
     if dia.on_wall(x0, h0):
@@ -686,7 +674,7 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
             full.append((exp, coef, wi, pt))
         ln = BrokenLine(full, x0)
         off = tuple(a - b for a, b in zip(ln.final()[1], m))
-        if any(off) and dia.depth_of_offset(off) >= bound:
+        if dia.depth_of_offset(off) >= bound:
             hit_bound = True
         lines.append(ln)
     lines.sort(key=lambda l: ([s[0] for s in l.segments],))

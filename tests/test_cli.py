@@ -262,6 +262,28 @@ def test_scatter_alpha(capsys):
     assert rc == 0 and json.loads(out)["alpha"] == "1"
 
 
+def test_scatter_alpha_at_order_zero_is_truncated(capsys):
+    # alpha(p, q, r) = 1 needs bent lines, which order 0 cannot reach
+    for order in ("0", "1"):
+        rc, out, err = run_cli(capsys, "scatter", "alpha", "--fixture",
+                               "a2", "--p", "1,0", "--q=-1,0", "--r", "0,1",
+                               "--order", order)
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"]["code"] == "truncated"
+
+
+@pytest.mark.parametrize("cmd", [
+    ("complete",), ("theta", "--label=-1,0"),
+    ("alpha", "--p=-1,0", "--q", "1,0", "--r", "0,1")])
+def test_scatter_negative_order_is_domain_error(capsys, cmd):
+    rc, out, err = run_cli(capsys, "scatter", cmd[0], "--fixture", "a2",
+                           "--order=-1", *cmd[1:])
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "bad-params",
+        "message": "truncation order must be nonnegative"}
+
+
 def test_trop_map_point(tmp_path, capsys):
     seed = {"n": 2, "unfrozen": [0, 1],
             "lambda": [["0", "1"], ["-1", "0"]], "d": [1, 1], "word": []}

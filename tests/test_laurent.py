@@ -132,6 +132,20 @@ def test_is_pointed():
     assert is_pointed(pointed, s, p) == (1, 0)
 
 
+def test_is_pointed_eliminates_the_pstar_columns_once(monkeypatch):
+    s = A2.initial_seed()
+    cols = s.pstar_cols_unfrozen()
+    calls = []
+    inner = Mat.rref
+    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(self is cols)
+                        or inner(self))
+    # two exponents: the rank test and the dominance solve both read the
+    # one elimination of cols; the refining order eliminates cols^T
+    f = LaurentPolynomial({(-1, 0): 1, (-1, 1): 1}, 2)
+    assert is_pointed(f, s) == (-1, 0)
+    assert calls == [True, False]
+
+
 def test_g_valuation():
     s = A2.initial_seed()
     d = PointedDecomposition([(1, (2, 3))])

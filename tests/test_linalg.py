@@ -305,8 +305,8 @@ def _random_rational_matrix(rng):
 
 def test_fraction_free_elimination_matches_fraction_reference():
     # Mat eliminates on integers (Bareiss); the Fraction elimination it
-    # replaced is the reference, also when solve runs first and the echelon
-    # form is read from the elimination of [A | I]
+    # replaced is the reference, also when solve runs first and rref reads
+    # the elimination that solve made
     rng = random.Random(67)
     shapes = set()
     for _ in range(600):
@@ -335,3 +335,25 @@ def test_solve_reads_the_rank_from_its_own_elimination(monkeypatch):
     assert m.solve((1, 2, 0)) is not None
     assert m.rank() == 2 and len(m.kernel()) == 1
     assert len(calls) == 1
+    # the other order: the rank's elimination serves solve, kernel, det
+    # and inverse
+    calls.clear()
+    m = Mat([[1, 2, 3], [0, 1, 4], [Fraction(1, 2), 0, 1]])
+    assert m.rank() == 3
+    assert m.solve((1, 2, 0)) is not None and m.kernel() == []
+    assert m.det() == Fraction(7, 2)
+    assert m.inverse() * m == Mat.identity(3)
+    assert len(calls) == 1
+
+
+def test_kernel_with_a_negative_last_pivot():
+    # the elimination of [[1, 2, 3], [2, 3, 5]] ends on the pivot -1: the
+    # left block is -1 * R, and the kernel vector must still have a
+    # positive entry at the free column
+    m = Mat([[1, 2, 3], [2, 3, 5]])
+    assert m.kernel() == [(-1, -1, 1)]
+    assert m._form[3] < 0
+    assert m.rref() == ([[1, 0, 1], [0, 1, 1]], [0, 1])
+    m = Mat([[Fraction(-1, 2), 3]])
+    assert m.kernel() == [(6, 1)]
+    assert m._form[3] < 0

@@ -356,6 +356,30 @@ def test_one_mutable_direction_has_no_loop_defect():
     assert loop_defect(dia, 2) == {}
 
 
+def test_path_ordered_product_needs_two_mutable_directions():
+    fd = FixedData(2, {0}, Mat([[0, 1], [-1, 0]]), (1, 1))
+    dia = initial_diagram(fd, ensemble_map(fd), 4)
+    with pytest.raises(RankUnsupported):
+        path_ordered_product([(1, 1), (-1, 1)], dia)
+
+
+def test_degree_bound_zero_reports_truncation():
+    # theta_{(-1,0)} = z^(-1,0) + z^(-1,1): at bound 0 only the straight
+    # line is found, and it has reached the bound
+    dia = a2_diagram(6)
+    th, exact = theta_function(dia, (-1, 0), degree_bound=0)
+    assert th == LaurentPolynomial.monomial((-1, 0)) and not exact
+    th, exact = theta_function(dia, (-1, 0))
+    assert exact and len(th.coeffs) == 2
+
+
+def test_negative_orders_are_rejected():
+    with pytest.raises(BadParams):
+        initial_diagram(A2, ensemble_map(A2), -1)
+    with pytest.raises(BadParams):
+        enumerate_broken_lines(a2_diagram(), (-1, 0), (5, 7), -1)
+
+
 def _fraction_crossings(dia, x, h, v):
     """Reference crossings of the ray {x + s v : s > 0} on Fractions, where
     h holds every wall's value at x: s = -h_i / phi_i·v for every wall
@@ -519,8 +543,8 @@ def test_wall_depth_is_the_wall_degree():
 
 
 def test_depth_queries_eliminate_once(monkeypatch):
-    # the rank check and every offset solve read one elimination of
-    # [G | I]; at_order gives a diagram with no generators yet
+    # the rank check and every offset solve read one elimination of G;
+    # at_order gives a diagram with no generators yet
     dia = fixture_diagram("kronecker", 6, False)[0]
     dia = dia.at_order(dia.order + 1)
     calls = []
