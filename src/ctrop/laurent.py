@@ -191,7 +191,8 @@ class LaurentPolynomial:
 
 def binomial_power(base_exp, power, dim):
     """(1 + z^base_exp)^power for integer power >= 0."""
-    one_plus = LaurentPolynomial({(0,) * dim: 1, tuple(base_exp): 1}, dim)
+    one_plus = LaurentPolynomial.one(dim) + \
+        LaurentPolynomial.monomial(tuple(base_exp))
     return one_plus.pow(power)
 
 

@@ -291,69 +291,36 @@ def _apply_wall(poly, wall, sign, dia, base_exp):
     return out
 
 
-def _rel_angle_key(a, u):
-    """Exact sort key for the CCW angle from direction a to direction u,
-    for angles in the open interval (0, 2pi).  Returns None when u is
-    positively parallel to a (angle 0)."""
-    cross = a[0] * u[1] - a[1] * u[0]
-    dot = a[0] * u[0] + a[1] * u[1]
-    if cross == 0:
-        if dot > 0:
-            return None
-        return (1, Fraction(0))
-    half = 0 if cross > 0 else 2
-    return (half, -Fraction(dot, cross))
-
-
-def _loop_rays(dia):
-    """All (direction, wall index) crossings of a full CCW loop."""
-    ks = _mutable(dia)
-    out = []
-    for i, w in enumerate(dia.walls):
-        if w.kind == "line":
-            phip = [Fraction(w.phi[j]) for j in ks]
-            u = (-phip[1], phip[0])
-            out.append((u, i))
-            out.append(((-u[0], -u[1]), i))
-        else:
-            out.append((dia.ray_dir(w), i))
-    return out
-
-
-def _cross_sign(u, wall, dia):
-    """Sign of the normal chosen against the flow for a CCW crossing of the
-    ray with direction u."""
-    travel = (-u[1], u[0])
-    phip = [Fraction(wall.phi[j]) for j in dia.unfrozen]
-    d = phip[0] * travel[0] + phip[1] * travel[1]
-    if d == 0:
-        raise SingularPath("path runs along a wall")
-    return -1 if d > 0 else 1
-
-
 def _crossings(dia, chambers):
     """(wall index, sign) of every crossing, in order, of the path that
-    sweeps counterclockwise from each chamber direction (2d shadow) to the
-    next.  Raises SingularPath if a chamber direction lies on a wall."""
-    dirs = [tuple(Fraction(x) for x in c) for c in chambers]
-    rays = _loop_rays(dia)
-    for d in dirs:
-        for u, i in rays:
-            if d[0] * u[1] - d[1] * u[0] == 0 and d[0] * u[0] + d[1] * u[1] > 0:
-                raise SingularPath("chamber direction on a wall")
+    runs straight from each chamber direction (2d shadow) to the next: the
+    walls of the open sector between the two, each crossed with sign -1
+    when phi grows along the side.  Each side must turn counterclockwise by
+    less than a half-turn (BadParams otherwise); a repeated direction is an
+    empty side.  Raises SingularPath if a chamber direction lies on a
+    wall."""
+    k1, k2 = _mutable(dia)
+    pts = []
+    for c in chambers:
+        a, b = integer_scale(vec(c))[1]
+        g = gcd(a, b) or 1
+        X = tuple(a // g if i == k1 else b // g if i == k2 else 0
+                  for i in range(dia.dim))
+        H = tuple(vdot(w.phi, X) for w in dia.walls)
+        if dia.on_wall(X, H):
+            raise SingularPath("chamber direction on a wall")
+        pts.append((X, 1, H))
     crossings = []
-    for a, b in zip(dirs, dirs[1:]):
-        key_b = _rel_angle_key(a, b)
-        if key_b is None:
-            continue  # repeated direction: empty arc
-        seg = []
-        for u, i in rays:
-            k = _rel_angle_key(a, u)
-            if k is not None and k < key_b:
-                seg.append((k, u, i))
-        seg.sort(key=lambda t: (t[0], dia.walls[t[2]].n0))
-        crossings.extend((i, _cross_sign(u, dia.walls[i], dia))
-                         for _, u, i in seg)
+    for x, y in zip(pts, pts[1:]):
+        if x == y:
+            continue
+        (a0, a1), (b0, b1) = dia.proj(x[0]), dia.proj(y[0])
+        if a0 * b1 - a1 * b0 <= 0:
+            raise BadParams("a path side must turn counterclockwise by "
+                            "less than a half-turn")
+        v = tuple(q - p for p, q in zip(x[0], y[0]))
+        crossings.extend((i, -1 if vdot(dia.walls[i].phi, v) > 0 else 1)
+                         for s, i, _ in _segment_crossings(dia, x, v) if s < 1)
     return crossings
 
 
@@ -369,10 +336,11 @@ def path_ordered_product(chambers, dia, order=None):
     """Composite wall-crossing automorphism along a path through the given
     chamber directions (2d shadow), as images of the coordinate monomials.
 
-    The path sweeps counterclockwise from each direction to the next.
-    Raises SingularPath if a chamber direction lies on a wall, and
-    RankUnsupported below two mutable directions, where there is no 2d
-    shadow to sweep.
+    The path runs straight from each direction to the next, so each side
+    must turn counterclockwise by less than a half-turn (BadParams
+    otherwise); a full loop needs at least three sides.  Raises
+    SingularPath if a chamber direction lies on a wall, and RankUnsupported
+    below two mutable directions, where there is no 2d shadow to sweep.
     """
     if len(_mutable(dia)) < 2:
         raise RankUnsupported("path-ordered products need 2 mutable "
@@ -387,13 +355,13 @@ def path_ordered_product(chambers, dia, order=None):
 
 def _generic_loop_dirs(dia):
     """A closed CCW loop of four generic directions, one per open quadrant
-    of the 2d shadow, none parallel to a wall ray."""
-    rays = [u for u, _ in _loop_rays(dia)]
+    of the 2d shadow, none on a wall's hyperplane."""
+    phis = [dia.proj(w.phi) for w in dia.walls]
 
     def pick(qx, qy):
         for t in range(1, 400):
-            cand = (Fraction(qx * (t + 1)), Fraction(qy * t))
-            if all(cand[0] * u[1] - cand[1] * u[0] != 0 for u in rays):
+            cand = (qx * (t + 1), qy * t)
+            if all(vdot(phi, cand) != 0 for phi in phis):
                 return cand
         raise SingularPath("no generic loop direction found")
 
@@ -432,8 +400,7 @@ def is_consistent(dia, order=None):
     dia = dia.at_order(order)
     if len(_mutable(dia)) <= 1:
         return True
-    loop = _generic_loop_dirs(dia)
-    table = path_ordered_product([tuple(x) for x in loop], dia)
+    table = path_ordered_product(_generic_loop_dirs(dia), dia)
     for j, poly in table.items():
         base = tuple(1 if i == j else 0 for i in range(dia.dim))
         if poly != LaurentPolynomial.monomial(base):
@@ -461,31 +428,26 @@ def complete_rank2(dia, order=None):
     base = tuple(1 if i in (k1, k2) else 0 for i in range(out.dim))
     ray_index = {}
 
+    # the degree-deg defect is linear in the rays' degree-deg coefficients,
+    # and each offset belongs to one ray: one correction per degree
     for deg in range(2, order + 1):
-        for _ in range(4):
-            defect = {off: c for off, c in loop_defect(out, deg).items()
-                      if out.depth_of_offset(off) == deg}
-            if not defect:
-                break
-            for off in sorted(defect):
-                c = defect[off]
-                a, b, k = _primitive_pair(*out.offset_coefficients(off))
-                idx = ray_index.get((a, b))
-                if idx is None:
-                    w = _ray_wall(out, a, b, {})
-                    out.walls.append(w)
-                    idx = len(out.walls) - 1
-                    ray_index[(a, b)] = idx
-                w = out.walls[idx]
-                u = out.ray_dir(w)
-                sign = _cross_sign(u, w, out)
-                pairing = vdot(w.phi, base)
-                delta = -c / (sign * pairing)
-                w.series[k] = w.series.get(k, Fraction(0)) + delta
-                if w.series[k] == 0:
-                    del w.series[k]
-        else:
-            raise BadParams("completion did not converge at degree %d" % deg)
+        defect = loop_defect(out, deg)
+        for off in sorted(defect):
+            if out.depth_of_offset(off) != deg:
+                continue
+            a, b, k = _primitive_pair(*out.offset_coefficients(off))
+            idx = ray_index.get((a, b))
+            if idx is None:
+                out.walls.append(_ray_wall(out, a, b, {}))
+                idx = ray_index[(a, b)] = len(out.walls) - 1
+            w = out.walls[idx]
+            # the loop crosses the ray counterclockwise, along (-u1, u0)
+            u = out.ray_dir(w)
+            sign = -1 if vdot(out.proj(w.phi), (-u[1], u[0])) > 0 else 1
+            delta = -defect[off] / (sign * vdot(w.phi, base))
+            w.series[k] = w.series.get(k, Fraction(0)) + delta
+            if w.series[k] == 0:
+                del w.series[k]
     if not is_consistent(out):
         raise BadParams("completed diagram fails the consistency oracle")
     out.walls.sort(key=lambda w: (w.kind != "line", w.n0))

@@ -249,13 +249,12 @@ def build_principal(fd):
 
 class EnsembleMap:
     """Matrix of a cluster ensemble lattice map p*: N -> M° in the initial
-    bases, together with the kernel driving torus actions and fibrations
-    (for the Grassmannian map this is the span of the all-ones vector)."""
+    bases; its kernel drives torus actions and fibrations (for the
+    Grassmannian map it is the span of the all-ones vector)."""
 
     def __init__(self, fd, matrix):
         self.fd = fd
         self.matrix = matrix
-        self.kernel = self.matrix.kernel()
 
     def apply(self, n_vec):
         """p*(n) in M°-coordinates, n in initial N-coordinates."""

@@ -33,12 +33,6 @@ class TropicalPoint:
         object.__setattr__(self, "word", tuple(self.word))
 
 
-def _bracket(x, conv):
-    if conv == "T":
-        return x if x > 0 else 0
-    return x if x < 0 else 0
-
-
 def _edge_data(s, k, flavor):
     """Bend functional and increment of the tropical mutation along the
     tree edge s -> mutate(s, k), from the exchange pairing (v_k, den, row)
@@ -70,9 +64,7 @@ def trop_mutate(pt, k, s, flavor):
     if len(pt.coords) != s.fixed.n:
         raise BadParams("point has %d coordinates; the seed has rank %d"
                         % (len(pt.coords), s.fixed.n))
-    phi, inc = _edge_data(s, k, flavor)
-    t = _bracket(vdot(phi, pt.coords), pt.conv)
-    coords = tuple(c + t * i for c, i in zip(pt.coords, inc))
+    coords = PLMap.from_mutations(s, (k,), flavor, pt.conv).apply(pt.coords)
     return TropicalPoint(s.mutate(k).word, coords, pt.conv)
 
 

@@ -147,6 +147,20 @@ def test_laurent_transport_term_without_coef_is_domain_error(tmp_path,
     assert _transport_poly(tmp_path, capsys, [{"exp": [1, 0]}])
 
 
+def test_laurent_transport_across_an_isolated_vertex(tmp_path, capsys):
+    # x_0 x_0' = 1 + 1 at a mutable vertex with no arrows
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"n": 2, "unfrozen": [0],
+                                "lambda": [["0", "0"], ["0", "0"]],
+                                "d": [1, 1], "word": []}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps([{"exp": [1, 0], "coef": "1"}]))
+    rc, out, err = run_cli(capsys, "laurent", "transport", "--seed-file",
+                           str(seed), "--from-word", "0", "--poly", str(poly))
+    assert rc == 0 and err == ""
+    assert json.loads(out)["poly"] == [{"coef": "2", "exp": [-1, 0]}]
+
+
 @pytest.mark.parametrize("terms", [
     [{"exp": [1, 0], "coef": "1"}, {"exp": [1, 0], "coef": "2"}],
     [{"exp": [1.5, 0], "coef": "1"}],

@@ -133,7 +133,7 @@ def test_rectangles_seed_ensemble_identity():
             for b in range(gr.dim):
                 if not (gr.frozen(a) and gr.frozen(b)):
                     assert diff.rows[a][b] == 0
-        assert [tuple(x) for x in em.kernel] == [(1,) * gr.dim]
+        assert [tuple(x) for x in em.matrix.kernel()] == [(1,) * gr.dim]
 
 
 def test_verify_val_gv():

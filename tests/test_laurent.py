@@ -98,6 +98,24 @@ def test_transport_matches_exchange_recursion():
             assert transport(unit, s, s0, "A") == variables[i]
 
 
+def test_transport_across_an_isolated_vertex_matches_exchange_step():
+    # at a mutable vertex with no arrows both exchange monomials are 1, so
+    # x_k x_k' = 2: the pullback carries (1 + z^0)^p = 2^p
+    from ctrop.grassmannian import _exchange_step
+    for fd in (FixedData(2, {0}, Mat([[0, 0], [0, 0]]), (1, 1)),
+               FixedData(2, {0, 1}, Mat([[0, 0], [0, 0]]), (1, 2)),
+               FixedData(3, {0, 1}, Mat([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+                         (1, 1, 1))):
+        s0 = fd.initial_seed()
+        s1 = s0.mutate(0)
+        units = [mono(tuple(1 if t == i else 0 for t in range(fd.n)))
+                 for i in range(fd.n)]
+        got = transport(units[0], s1, s0, "A")
+        assert got == _exchange_step(s0, units, 0)
+        assert transport(got, s0, s1, "A") == units[0]
+    assert binomial_power((0, 0), 3, 2) == mono((0, 0), 8)
+
+
 def test_x_pullback_examples():
     s = RUNNING.initial_seed()
     s1 = s.mutate(0)

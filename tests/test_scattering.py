@@ -8,7 +8,8 @@ import pytest
 
 from ctrop import scattering
 from ctrop.acceptance import fixture_diagram, gr36_fixture_diagram
-from ctrop.errors import BadParams, NonGenericEndpoint, RankUnsupported
+from ctrop.errors import (BadParams, NonGenericEndpoint, RankUnsupported,
+                          SingularPath)
 from ctrop.laurent import LaurentPolynomial, is_pointed, transport
 from ctrop.linalg import Mat
 from ctrop.scattering import (ScatteringDiagram, Wall, complete_rank2,
@@ -22,6 +23,8 @@ from ctrop.seeds import (FixedData, build_principal, ensemble_map,
 A2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 1))
 RUNNING = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 2))
 KRON = FixedData(2, {0, 1}, Mat([[0, 2], [-2, 0]]), (1, 1))
+B2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (2, 1))
+G2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 3))
 
 
 def a2_diagram(order=10):
@@ -554,3 +557,133 @@ def test_depth_queries_eliminate_once(monkeypatch):
     for w in dia.walls:
         assert dia.offset_depth(w.g) == w.deg
     assert len(calls) == 1
+
+
+def _angle_key(a, u):
+    """Exact sort key for the CCW angle from direction a to direction u in
+    (0, 2pi); None when u is positively parallel to a."""
+    cross = a[0] * u[1] - a[1] * u[0]
+    dot = a[0] * u[0] + a[1] * u[1]
+    if cross == 0:
+        return None if dot > 0 else (1, Fraction(0))
+    return (0 if cross > 0 else 2, -Fraction(dot, cross))
+
+
+def _angular_crossings(dia, chambers):
+    """Reference wall sweep on Fraction angles: on each side, the wall rays
+    (both halves of a line) strictly inside the CCW arc from its start to
+    its end, by angle, each signed -1 when the wall's functional grows
+    along the CCW flow there."""
+    rays = []
+    for i, w in enumerate(dia.walls):
+        if w.kind == "line":
+            phi = dia.proj(w.phi)
+            rays += [((-phi[1], phi[0]), i), ((phi[1], -phi[0]), i)]
+        else:
+            rays.append((dia.ray_dir(w), i))
+    dirs = [tuple(Fraction(x) for x in c) for c in chambers]
+    if any(_angle_key(d, u) is None for d in dirs for u, _ in rays):
+        raise SingularPath("chamber direction on a wall")
+    out = []
+    for a, b in zip(dirs, dirs[1:]):
+        end = _angle_key(a, b)
+        if end is None:
+            continue
+        seg = [(_angle_key(a, u), u, i) for u, i in rays]
+        seg = sorted((t for t in seg if t[0] is not None and t[0] < end),
+                     key=lambda t: (t[0], dia.walls[t[2]].n0))
+        for _, u, i in seg:
+            flow = scattering.vdot(dia.proj(dia.walls[i].phi), (-u[1], u[0]))
+            out.append((i, -1 if flow > 0 else 1))
+    return out
+
+
+def _path_outcome(fn):
+    try:
+        return fn()
+    except SingularPath as exc:
+        return "SingularPath: %s" % exc
+
+
+def _ccw_chambers(rng, on_wall):
+    """Random chamber directions, each side turning CCW by less than a
+    half-turn, now and then on a wall or repeated."""
+    nz = [c for c in range(-9, 10) if c]
+    dirs = [(rng.choice(nz), rng.choice(nz))]
+    for _ in range(rng.randint(1, 7)):
+        a = dirs[-1]
+        r = rng.random()
+        if r < 0.05:
+            dirs.append(a)
+            continue
+        while True:
+            b = rng.choice(on_wall) if r < 0.15 else \
+                (rng.choice(nz), rng.choice(nz))
+            if a[0] * b[1] - a[1] * b[0] > 0:
+                break
+            r = 1
+        q = rng.randint(1, 3)
+        dirs.append(tuple(Fraction(x, q) for x in b))
+    return dirs
+
+
+def test_loop_crossings_match_angular_sweep():
+    # the integer segment sweep against the Fraction angle sweep it
+    # replaced: the same (wall, sign) lists and the same SingularPath
+    rng = random.Random(19)
+    seen = Counter()
+    for fd in (A2, RUNNING, KRON, B2, G2):
+        for principal in (False, True):
+            if principal:
+                dia0 = initial_diagram(
+                    build_principal(fd),
+                    principal_ensemble_map(fd, ensemble_map(fd)), 6)
+            else:
+                dia0 = initial_diagram(fd, ensemble_map(fd), 6)
+            for dia in (dia0, complete_rank2(dia0)):
+                on_wall = [u for w in dia.walls
+                           for u in (dia.proj(w.g),
+                                     tuple(-x for x in dia.proj(w.g)))]
+                for _ in range(40):
+                    ch = _ccw_chambers(rng, on_wall)
+                    want = _path_outcome(lambda: _angular_crossings(dia, ch))
+                    got = _path_outcome(
+                        lambda: scattering._crossings(dia, ch))
+                    assert got == want, (ch, dia.walls)
+                    seen["singular" if isinstance(want, str) else
+                         "crossing" if want else "empty"] += 1
+                loop = scattering._generic_loop_dirs(dia)
+                assert scattering._crossings(dia, loop) == \
+                    _angular_crossings(dia, loop)
+    # singular paths, paths with crossings and empty ones all occur
+    assert seen["singular"] > 100 and seen["crossing"] > 400 and \
+        seen["empty"] > 10
+
+
+def test_completion_corrects_each_degree_once(monkeypatch):
+    # the degree-d defect is linear in the new degree-d ray coefficients:
+    # one loop product per degree fixes it
+    orders = []
+    real = scattering.loop_defect
+    monkeypatch.setattr(scattering, "loop_defect",
+                        lambda dia, order=None: orders.append(order)
+                        or real(dia, order))
+    dia = a2_diagram(10)
+    assert orders == list(range(2, 11))
+    assert is_consistent(dia)
+
+
+def test_path_side_of_a_half_turn_or_more_is_rejected():
+    # each side runs straight between its chamber directions, so it must
+    # turn CCW by less than a half-turn
+    dia = a2_diagram()
+    for chambers in ([(2, 1), (-2, -1)], [(2, 1), (1, -2)],
+                     [(2, 1), (-1, 3), (-3, -2), (-1, 3)],
+                     [(2, 1), (-1, 3), (1, -2)]):
+        with pytest.raises(BadParams, match="half-turn"):
+            path_ordered_product(chambers, dia)
+    table = path_ordered_product([(2, 1), (-1, 3), (-2, -1), (3, -5),
+                                  (2, 1)], dia)
+    assert all(poly == LaurentPolynomial.monomial(
+        tuple(1 if i == j else 0 for i in range(2)))
+        for j, poly in table.items())
