@@ -37,10 +37,6 @@ def load_fixture_seed(name):
     return seed_from_json(_fixture(name)["seed"])
 
 
-def _poly_from_json(data, dim):
-    return LaurentPolynomial.from_json(data, dim)
-
-
 def fixture_diagram(name, order, principal=False):
     """Completed diagram of a rank-2 fixture seed, by its short name, and
     the ensemble map p; with principal=True the diagram is built on the
@@ -75,10 +71,10 @@ def criterion_1():
     fx = _fixture("running_example.json")
     dia, p = fixture_diagram("running-example", 12, principal=True)
     got, exact = theta_on_x(dia, tuple(fx["theta_x_label"]), p)
-    want = _poly_from_json(fx["expected_theta_x"], 2)
+    want = LaurentPolynomial.from_json(fx["expected_theta_x"], 2)
     lift_label = (2, -2, -1, -2)
     lift, exact2 = theta_function(dia, lift_label)
-    want_lift = _poly_from_json(fx["expected_aprin_lift"], 4)
+    want_lift = LaurentPolynomial.from_json(fx["expected_aprin_lift"], 4)
     ok = (got == want) and (lift == want_lift) and exact and exact2
     return ok, "theta_x=%s lift=%s" % (got == want, lift == want_lift)
 
@@ -246,7 +242,7 @@ def _grassmannian_slice(k, n, level):
         if not exact:
             raise NonGenericEndpoint("frozen theta truncated")
         summands.append(tropicalize(th, "t"))
-    xi = superpotential_cone(summands, [0] * len(summands))
+    xi = superpotential_cone(summands)
     qrep = [0] * gr.dim
     qrep[gr.index(gr.rows, gr.cols)] = level
     fib = weight_fiber(tuple(qrep), Mat([[1] * gr.dim]))

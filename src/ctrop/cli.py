@@ -234,13 +234,15 @@ def cmd_gr_verify(args):
 
 
 def cmd_gr_nobody(args):
+    if args.check_unimodular and args.side != "gvec":
+        raise BadParams("--check-unimodular needs --side gvec")
     body = no_body(args.k, args.n, args.side)
     if args.csv:
         for v in body.vertices:
             sys.stdout.write(",".join(str(x) for x in v) + "\n")
         return 0
     out = {"polytope": body.to_json(), "side": args.side}
-    if args.side == "gvec" and args.check_unimodular:
+    if args.check_unimodular:
         ok, _u = bodies_unimodular(args.k, args.n)
         out["unimodular_to_flow"] = ok
     _emit(out, args)
@@ -334,17 +336,19 @@ def build_parser():
     ve = gr.add_parser("verify")
     ve.add_argument("--k", type=int, required=True)
     ve.add_argument("--n", type=int, required=True)
-    ve.add_argument("--verbose", action="store_true")
-    ve.add_argument("--csv", action="store_true",
-                    help="emit a per-index CSV report instead of JSON")
+    report = ve.add_mutually_exclusive_group()
+    report.add_argument("--verbose", action="store_true")
+    report.add_argument("--csv", action="store_true",
+                        help="emit a per-index CSV report instead of JSON")
     ve.set_defaults(func=cmd_gr_verify)
     nb = gr.add_parser("nobody")
     nb.add_argument("--k", type=int, required=True)
     nb.add_argument("--n", type=int, required=True)
     nb.add_argument("--side", choices=["flow", "gvec"], required=True)
-    nb.add_argument("--check-unimodular", action="store_true")
-    nb.add_argument("--csv", action="store_true",
-                    help="emit vertices as CSV rows instead of JSON")
+    report = nb.add_mutually_exclusive_group()
+    report.add_argument("--check-unimodular", action="store_true")
+    report.add_argument("--csv", action="store_true",
+                        help="emit vertices as CSV rows instead of JSON")
     nb.set_defaults(func=cmd_gr_nobody)
 
     ac = sub.add_parser("accept").add_subparsers(dest="sub", required=True)

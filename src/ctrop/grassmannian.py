@@ -312,15 +312,16 @@ def _exchange_step(seed, variables, kdir):
     return (mono_p + mono_m).divide_exact(variables[kdir])
 
 
-def cluster_bfs_g_vectors(k, n, depth, opposite=True):
-    """BFS over mutation words from the rectangles seed, tracking each
-    cluster variable's Laurent expansion in the initial chart and its
-    g-vector via the pointedness test.
+def cluster_bfs_g_vectors(k, n, depth):
+    """BFS over mutation words from the opposite rectangles seed (the
+    convention of the hook formula), tracking each cluster variable's
+    Laurent expansion in the initial chart and its g-vector via the
+    pointedness test.
 
     Returns {word: [(vertex, g-vector), ...]} with seeds deduplicated by
     their (basis, eps) data.
     """
-    fd, seed0, em = rectangles_seed(k, n, opposite=opposite)
+    fd, seed0, em = rectangles_seed(k, n, opposite=True)
     n_dim = fd.n
     init_vars = [LaurentPolynomial.monomial(
         tuple(1 if t == v else 0 for t in range(n_dim))) for v in range(n_dim)]

@@ -14,6 +14,9 @@ from fractions import Fraction
 from .errors import BadParams, EmptyInput, NotInSpan, NotLaurent, RankError
 from .linalg import LESS, dominance_compare, vdot
 
+# leading-term steps divide_exact takes before giving up
+_DIVISION_STEPS = 500_000
+
 
 def _grlex_key(e):
     return (sum(e), e)
@@ -24,16 +27,12 @@ class LaurentPolynomial:
 
     __slots__ = ("coeffs", "dim")
 
-    def __init__(self, coeffs, dim=None):
+    def __init__(self, coeffs, dim):
         self.coeffs = {}
         for e, c in coeffs.items():
             c = Fraction(c)
             if c != 0:
                 self.coeffs[tuple(int(x) for x in e)] = c
-        if dim is None:
-            if not self.coeffs:
-                raise ValueError("dimension needed for zero polynomial")
-            dim = len(next(iter(self.coeffs)))
         self.dim = dim
 
     @staticmethod
@@ -119,7 +118,7 @@ class LaurentPolynomial:
         e = max(self.coeffs, key=_grlex_key)
         return e, self.coeffs[e]
 
-    def divide_exact(self, other, max_steps=500000):
+    def divide_exact(self, other):
         """Exact quotient self / other; raises NotLaurent if not divisible.
 
         Termination: Newton polytopes of exact quotients satisfy
@@ -144,7 +143,7 @@ class LaurentPolynomial:
         le_g, lc_g = other.leading()
         while not rem.is_zero():
             steps += 1
-            if steps > max_steps:
+            if steps > _DIVISION_STEPS:
                 raise NotLaurent("division did not terminate")
             le_r, lc_r = rem.leading()
             t_exp = tuple(a - b for a, b in zip(le_r, le_g))
@@ -160,7 +159,7 @@ class LaurentPolynomial:
         return [{"exp": list(e), "coef": str(c)} for e, c in self.terms()]
 
     @staticmethod
-    def from_json(data, dim=None):
+    def from_json(data, dim):
         """Polynomial from its list of {"exp", "coef"} terms; a missing
         field, a malformed value, an exponent entry that is not an integer,
         a repeated exponent or an exponent of another length than `dim` is
@@ -181,7 +180,7 @@ class LaurentPolynomial:
             raise BadParams("Laurent term is missing %s" % (exc,))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise BadParams("malformed Laurent term: %s" % (exc,))
-        if dim is not None and any(len(e) != dim for e in coeffs):
+        if any(len(e) != dim for e in coeffs):
             raise BadParams("Laurent exponents must have length %d" % dim)
         return LaurentPolynomial(coeffs, dim)
 
@@ -323,7 +322,8 @@ def is_pointed(f, s, p=None):
     """The pointedness test: returns the dominance-minimal exponent m0 if f
     has a unique minimal exponent with coefficient 1 and all exponents lie
     in m0 + p*_1(N+); otherwise None.  Exponents are in the seed's own
-    coordinates."""
+    coordinates.  The ensemble map p is unused; it stays in the signature
+    only for the benchmark's positional call is_pointed(f, s, p)."""
     if f.is_zero():
         return None
     cols = s.pstar_cols_unfrozen()
@@ -352,22 +352,20 @@ def g_valuation(decomp, s, order=None):
     return order.min(decomp.labels())
 
 
-def theta_expand(f, s, theta_table, max_rounds=None):
+def theta_expand(f, s, theta_table, max_rounds):
     """Greedy expansion of f in the theta functions supplied by the table.
 
     Repeatedly subtracts c * theta_{m0} at the order-minimal exponent m0 of
     the residual.  Raises NotInSpan if a needed label is missing or the
-    iteration bound is exceeded.
+    expansion takes more than max_rounds rounds.
     """
     order = s.refining_order()
-    bound = max_rounds if max_rounds is not None else \
-        10 * max(10, len(theta_table))
     residual = f
     out = []
     rounds = 0
     while not residual.is_zero():
         rounds += 1
-        if rounds > bound:
+        if rounds > max_rounds:
             raise NotInSpan("theta expansion exceeded iteration bound")
         m0 = order.min(list(residual.coeffs))
         c = residual.coeffs[m0]

@@ -98,10 +98,6 @@ class Mat:
         return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(m, n):
-        return Mat([[0] * n for _ in range(m)])
-
-    @staticmethod
     def from_cols(cols):
         if not cols:
             return Mat([])

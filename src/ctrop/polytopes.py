@@ -16,6 +16,9 @@ from .errors import BadParams, EmptyInput, Unbounded
 from .linalg import (Mat, clear_denominators, independent_rows,
                      integer_scale, vdot, vec)
 
+# bounding-box points lattice_points will walk before giving up
+_BOX_LIMIT = 5_000_000
+
 
 def _extreme_rays(rows, dim):
     """Extreme rays of the pointed cone {x : r . x >= 0 for r in rows}.
@@ -252,31 +255,25 @@ class Cone:
             raise BadParams("cone normals must have dimension %d" % dim)
 
 
-def superpotential_cone(summands, offsets=None):
-    """Region where each tropicalized summand is >= its offset.
+def superpotential_cone(summands):
+    """The cone Xi = {trop W >= 0}: each tropicalized summand is >= 0.
 
     Each summand is a PL function (see ctrop.trop.PLFunction); a min of
-    linear forms >= c is expanded into one linear inequality per support
+    linear forms >= 0 is expanded into one linear inequality per support
     exponent, exactly.
     """
     if not summands:
         raise EmptyInput("no summands")
-    if offsets is None:
-        offsets = [0] * len(summands)
-    if len(offsets) != len(summands):
-        raise BadParams("offsets must match summands")
-    dim = summands[0].dim
     rows = []
-    for g, c in zip(summands, offsets):
-        c = Fraction(c)
+    for g in summands:
         for ell in g.support:
             if g.kind == "t":
-                # min <ell, x> >= c
-                rows.append((vec(ell), c))
+                # min <ell, x> >= 0
+                rows.append((vec(ell), 0))
             else:
-                # -max <ell, x> >= c
-                rows.append((tuple(-x for x in ell), c))
-    return Cone(rows, dim)
+                # -max <ell, x> >= 0
+                rows.append((tuple(-x for x in ell), 0))
+    return Cone(rows, summands[0].dim)
 
 
 def slice_cone(cone, fiber):
@@ -334,7 +331,7 @@ def _axis(lo, hi, ineqs, eqs, x):
     return iter(range(lo, hi + 1))
 
 
-def lattice_points(p, limit=5_000_000):
+def lattice_points(p):
     """All integer points of a bounded polytope, in canonical order.
 
     A depth-first walk over the coordinates of the bounding box: each facet
@@ -349,7 +346,7 @@ def lattice_points(p, limit=5_000_000):
         vals = [v[i] for v in p.vertices]
         box.append((math.ceil(min(vals)), math.floor(max(vals))))
         total *= max(box[-1][1] - box[-1][0] + 1, 0)
-        if total > limit:
+        if total > _BOX_LIMIT:
             raise BadParams("bounding box too large for enumeration")
     ineqs = _integer_rows(p.facets, p.dim, False)
     eqs = _integer_rows(p.equations, p.dim, True)

@@ -92,13 +92,12 @@ class ScatteringDiagram:
     chamber geometry are decided.
     """
 
-    def __init__(self, walls, dim, order, unfrozen=None, fd=None, p=None):
+    def __init__(self, walls, dim, order, unfrozen=None, fd=None):
         self.walls = list(walls)
         self.dim = dim
         self.order = order
         self.unfrozen = tuple(unfrozen) if unfrozen is not None else None
         self.fd = fd
-        self.p = p
         self._offset_cache = {}
         self._ray_dirs = {}
         self._depth = None
@@ -109,7 +108,7 @@ class ScatteringDiagram:
         if order is None or order == self.order:
             return self
         return ScatteringDiagram(self.walls, self.dim, order, self.unfrozen,
-                                 self.fd, self.p)
+                                 self.fd)
 
     # -- 2d shadow helpers -------------------------------------------------
 
@@ -210,8 +209,10 @@ def _mutable(dia):
 
 
 def initial_diagram(fd, p, order):
-    """Initial cluster scattering diagram for the given fixed data and
-    ensemble map; one full hyperplane per mutable direction."""
+    """Initial cluster scattering diagram for the given fixed data; one
+    full hyperplane per mutable direction.  The ensemble map p is unused;
+    it stays in the signature only for the benchmark's positional call
+    initial_diagram(fd, p, order)."""
     ks = sorted(fd.unfrozen)
     if len(ks) > 2:
         raise RankUnsupported("scattering needs at most 2 mutable directions")
@@ -225,7 +226,7 @@ def initial_diagram(fd, p, order):
         g = [int(x) for x in eps.rows[k]]
         n0 = tuple(1 if j == k else 0 for j in ks)
         walls.append(Wall(phi, g, {1: 1}, n0, 1, "line"))
-    return ScatteringDiagram(walls, fd.n, order, unfrozen=ks, fd=fd, p=p)
+    return ScatteringDiagram(walls, fd.n, order, unfrozen=ks, fd=fd)
 
 
 def _primitive_pair(a, b):
@@ -251,23 +252,18 @@ def _ray_wall(dia, a, b, series):
 # -- wall crossing and path-ordered products --------------------------------
 
 
-def wall_cross(mono, wall, crossing_sign, order=None, max_k=None):
+def wall_cross(mono, wall, crossing_sign, max_k):
     """Image of a monomial under one wall-crossing automorphism.
 
     mono is (coefficient, exponent); the crossing power is
-    crossing_sign * <phi, exponent>.  Negative powers are expanded as
-    geometric series and truncated at `max_k` series steps (or the wall
-    series support when the power is nonnegative and max_k is omitted).
+    crossing_sign * <phi, exponent>.  The power of the wall function
+    (a geometric series when the power is negative) is truncated at
+    `max_k` series steps.
     """
     coef, exp = Fraction(mono[0]), tuple(mono[1])
     power = crossing_sign * vdot(wall.phi, exp)
     if power == 0:
         return LaurentPolynomial({exp: coef}, len(exp))
-    if max_k is None:
-        if power < 0 and order is None:
-            raise BadParams("negative power needs a truncation order")
-        max_k = (order // wall.deg) if order is not None else \
-            wall.max_k() * power
     terms = wall.power_terms(int(power), max_k)
     out = {}
     for j, c in terms.items():
@@ -332,7 +328,7 @@ def _apply_crossings(dia, crossings, base):
     return poly
 
 
-def path_ordered_product(chambers, dia, order=None):
+def path_ordered_product(chambers, dia):
     """Composite wall-crossing automorphism along a path through the given
     chamber directions (2d shadow), as images of the coordinate monomials.
 
@@ -345,7 +341,6 @@ def path_ordered_product(chambers, dia, order=None):
     if len(_mutable(dia)) < 2:
         raise RankUnsupported("path-ordered products need 2 mutable "
                               "directions")
-    dia = dia.at_order(order)
     crossings = _crossings(dia, chambers)
     return {j: _apply_crossings(dia, crossings,
                                 tuple(1 if i == j else 0
@@ -408,7 +403,7 @@ def is_consistent(dia, order=None):
     return True
 
 
-def complete_rank2(dia, order=None):
+def complete_rank2(dia):
     """Order-by-order completion of a rank <= 2 initial cluster diagram to
     a consistent diagram, inserting outgoing rays with uniquely determined
     series coefficients."""
@@ -416,10 +411,9 @@ def complete_rank2(dia, order=None):
         raise BadParams("completion needs a cluster diagram")
     if len(dia.unfrozen) > 2:
         raise RankUnsupported("completion implemented for <= 2 mutable directions")
-    order = order if order is not None else dia.order
     walls = [Wall(w.phi, w.g, w.series, w.n0, w.deg, w.kind)
              for w in dia.walls]
-    out = ScatteringDiagram(walls, dia.dim, order, dia.unfrozen, dia.fd, dia.p)
+    out = ScatteringDiagram(walls, dia.dim, dia.order, dia.unfrozen, dia.fd)
     if len(out.unfrozen) <= 1:
         return out
     k1, k2 = out.unfrozen
@@ -430,7 +424,7 @@ def complete_rank2(dia, order=None):
 
     # the degree-deg defect is linear in the rays' degree-deg coefficients,
     # and each offset belongs to one ray: one correction per degree
-    for deg in range(2, order + 1):
+    for deg in range(2, out.order + 1):
         defect = loop_defect(out, deg)
         for off in sorted(defect):
             if out.depth_of_offset(off) != deg:
@@ -647,7 +641,7 @@ def _sample_basepoint(dia, attempt):
     p = _PRIMES[(2 * attempt) % len(_PRIMES)]
     q = _PRIMES[(2 * attempt + 1) % len(_PRIMES)]
     x = [Fraction(0)] * dia.dim
-    ks = dia.unfrozen
+    ks = _mutable(dia)
     x[ks[0]] = 1 + Fraction(1, p)
     if len(ks) > 1:
         x[ks[1]] = 1 + Fraction(2, q)
@@ -670,7 +664,7 @@ def _at_generic_point(candidate, compute):
     raise NonGenericEndpoint("no generic endpoint found")
 
 
-def theta_function(dia, m, basepoint=None, degree_bound=None):
+def theta_function(dia, m, degree_bound=None):
     """Theta function with label m: sum of final monomials of all broken
     lines ending at a generic basepoint interior to the positive chamber.
 
@@ -688,12 +682,6 @@ def theta_function(dia, m, basepoint=None, degree_bound=None):
             poly = poly + LaurentPolynomial.monomial(e, c)
         return poly, exact
 
-    ks = _mutable(dia)
-    if basepoint is not None:
-        x0 = _sized(dia, vec(basepoint), "basepoint")
-        if any(x0[k] <= 0 for k in ks):
-            raise NonGenericEndpoint("basepoint must be interior to C+")
-        return at(x0)
     return _at_generic_point(lambda attempt: _sample_basepoint(dia, attempt),
                              at)
 
@@ -803,6 +791,3 @@ class LazyThetaTable:
 
     def __getitem__(self, label):
         return self.get(label)
-
-    def __len__(self):
-        return len(self._cache)

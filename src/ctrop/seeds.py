@@ -261,19 +261,14 @@ class EnsembleMap:
         return self.matrix * vec(n_vec)
 
 
-def ensemble_map(fd, frozen_block=None):
+def ensemble_map(fd):
     """Assemble the map with unfrozen blocks forced to eps^tr and the free
-    frozen x frozen block supplied by the caller (default zero)."""
-    eps_t = fd.epsilon().transpose()
+    frozen x frozen block zero."""
     frozen = sorted(set(range(fd.n)) - fd.unfrozen)
-    rows = [list(r) for r in eps_t.rows]
-    if frozen_block is None:
-        frozen_block = Mat.zero(len(frozen), len(frozen))
-    if frozen_block.nrows != len(frozen) or frozen_block.ncols != len(frozen):
-        raise BadParams("frozen block has wrong shape")
-    for a, i in enumerate(frozen):
-        for b, j in enumerate(frozen):
-            rows[i][j] = frozen_block.rows[a][b]
+    rows = [list(r) for r in fd.epsilon().transpose().rows]
+    for i in frozen:
+        for j in frozen:
+            rows[i][j] = 0
     m = Mat(rows)
     if not m.is_integer():
         raise BadParams("ensemble map must be integral")

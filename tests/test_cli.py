@@ -310,6 +310,22 @@ def test_trop_map_point(tmp_path, capsys):
     assert json.loads(out)["coords"] == ["-1", "1"]
 
 
+def test_gr_nobody_unimodular_check_needs_the_gvec_side(capsys):
+    # the check compares the g-vector body with the flow body; on the flow
+    # side it used to be skipped without a word
+    assert _bad_params(capsys, "gr", "nobody", "--k", "2", "--n", "4",
+                       "--side", "flow", "--check-unimodular")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gr", "nobody", "--k", "2", "--n", "4", "--side", "gvec", "--csv",
+     "--check-unimodular"],
+    ["gr", "verify", "--k", "2", "--n", "4", "--csv", "--verbose"]])
+def test_csv_excludes_the_json_only_flags(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == "" and "not allowed with" in err
+
+
 def test_gr_verify_csv(capsys):
     rc, out, _ = run_cli(capsys, "gr", "verify", "--k", "2", "--n", "4",
                          "--csv")

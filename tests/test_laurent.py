@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ctrop import laurent
 from ctrop.errors import (BadParams, DomainError, EmptyInput, NotInSpan,
                           NotLaurent)
 from ctrop.grassmannian import rectangles_seed
@@ -192,22 +193,23 @@ def test_theta_expand():
     dia, table = _a2_table()
     s = A2.initial_seed()
     f = table[(-1, 1)]
-    dec = theta_expand(f, s, table)
+    dec = theta_expand(f, s, table, max_rounds=100)
     assert dec.terms == [(1, (-1, 1))]
     # product of the mutated variable with the second initial one
     prod = table[(-1, 0)] * table[(0, 1)]
-    dec2 = theta_expand(prod, s, table)
+    dec2 = theta_expand(prod, s, table, max_rounds=100)
     assert (1, (-1, 1)) in dec2.terms
     order = TotalOrder.refining(s.pstar_cols_unfrozen())
     assert g_valuation(dec2, s, order=order) == (-1, 1)
-    assert theta_expand(LaurentPolynomial.zero(2), s, table).terms == []
+    assert theta_expand(LaurentPolynomial.zero(2), s, table,
+                        max_rounds=100).terms == []
 
 
 def test_theta_expand_not_in_span():
     s = A2.initial_seed()
     table = {(0, 0): LaurentPolynomial.one(2)}
     with pytest.raises(NotInSpan):
-        theta_expand(mono((2, 0)), s, table)
+        theta_expand(mono((2, 0)), s, table, max_rounds=100)
 
 
 def test_valuation_product_law_small():
@@ -275,6 +277,16 @@ def test_divide_exact_detects_sliding_nondivisibility():
     # genuine products still divide exactly
     q = LaurentPolynomial({(2, -1): 3, (-1, 4): 5}, 2)
     assert (q * g).divide_exact(g) == q
+
+
+def test_divide_exact_step_limit_fails_loudly(monkeypatch):
+    # the same exact quotient takes two leading-term steps: a limit of one
+    # step must raise, not return a partial quotient
+    g = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): 1}, 2)
+    q = LaurentPolynomial({(2, -1): 3, (-1, 4): 5}, 2)
+    monkeypatch.setattr(laurent, "_DIVISION_STEPS", 1)
+    with pytest.raises(NotLaurent, match="^division did not terminate$"):
+        (q * g).divide_exact(g)
 
 
 def _outcome(fn):

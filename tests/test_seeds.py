@@ -174,14 +174,14 @@ def test_ensemble_block_identity_fuzz():
                 lam[j][i] = -lam[i][j]
         unfrozen = {i for i in range(n) if rng.random() < 0.6} or {0}
         fd = FixedData(n, unfrozen, Mat(lam), (1,) * n)
-        frozen = sorted(set(range(n)) - unfrozen)
-        blk = Mat([[rng.randint(-2, 2) for _ in frozen] for _ in frozen])
-        p = ensemble_map(fd, blk)
+        p = ensemble_map(fd)
         diff = p.matrix - fd.epsilon().transpose()
         for i in range(n):
             for j in range(n):
                 if i in unfrozen or j in unfrozen:
                     assert diff.rows[i][j] == 0
+                else:
+                    assert p.matrix.rows[i][j] == 0
         # kernel orthogonal to unfrozen pairing rows
         for kvec in p.matrix.kernel():
             for j in sorted(unfrozen):
