@@ -10,7 +10,6 @@ last column.  All multipliers are 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import BadParams, NotLaurent
@@ -299,16 +298,15 @@ def _exchange_step(seed, variables, kdir):
     mono_m = LaurentPolynomial.one(n)
     for j in range(n):
         e = eps.rows[j][kdir]
-        expnt = Fraction(d[j]) * (e if e > 0 else 0) / d[kdir]
-        expnt_m = Fraction(d[j]) * (-e if e < 0 else 0) / d[kdir]
-        if expnt:
-            if expnt.denominator != 1:
-                raise BadParams("non-integral exchange exponent")
-            mono_p = mono_p * variables[j].pow(int(expnt))
-        if expnt_m:
-            if expnt_m.denominator != 1:
-                raise BadParams("non-integral exchange exponent")
-            mono_m = mono_m * variables[j].pow(int(expnt_m))
+        if not e:
+            continue
+        expnt, r = divmod(d[j] * abs(e), d[kdir])
+        if r:
+            raise BadParams("non-integral exchange exponent")
+        if e > 0:
+            mono_p = mono_p * variables[j].pow(expnt)
+        else:
+            mono_m = mono_m * variables[j].pow(expnt)
     return (mono_p + mono_m).divide_exact(variables[kdir])
 
 

@@ -2,14 +2,19 @@
 and the g-vector valuation.
 
 A LaurentPolynomial stores a sparse map from integer exponent tuples to
-nonzero rational coefficients.  Exponents are interpreted in the tagged
-seed's own cluster coordinates; transitions between charts convert through
-the initial coordinates internally.
+nonzero exact coefficients: int when integral, else Fraction.  Cluster
+variables have integer coefficients (the Laurent phenomenon), so the
+arithmetic stays on ints until a rational enters through from_json, a wall
+series or a division.  Exponents are interpreted in the tagged seed's own
+cluster coordinates; transitions between charts convert through the
+initial coordinates internally.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from operator import add, sub
 
 from .errors import BadParams, EmptyInput, NotInSpan, NotLaurent, RankError
 from .linalg import LESS, dominance_compare, vdot
@@ -22,30 +27,56 @@ def _grlex_key(e):
     return (sum(e), e)
 
 
+def _summed(terms, dim, out=None):
+    """The sum of the (int-tuple exponent, nonzero coefficient) terms, added
+    up in the one dict `out` (a new one by default) that the result keeps;
+    a coefficient that cancels to 0 is dropped."""
+    if out is None:
+        out = {}
+    for e, c in terms:
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return LaurentPolynomial._of(out, dim)
+
+
 class LaurentPolynomial:
     """Sparse exact Laurent polynomial in n variables."""
 
     __slots__ = ("coeffs", "dim")
 
     def __init__(self, coeffs, dim):
+        """Polynomial from outside input: exponents become int tuples,
+        coefficients exact (an integral one an int), zeros are dropped."""
         self.coeffs = {}
         for e, c in coeffs.items():
             c = Fraction(c)
-            if c != 0:
-                self.coeffs[tuple(int(x) for x in e)] = c
+            if c:
+                self.coeffs[tuple(int(x) for x in e)] = \
+                    c.numerator if c.denominator == 1 else c
         self.dim = dim
+
+    @classmethod
+    def _of(cls, coeffs, dim):
+        """The arithmetic's constructor: keeps `coeffs` as it is, unchecked."""
+        f = cls.__new__(cls)
+        f.coeffs = coeffs
+        f.dim = dim
+        return f
 
     @staticmethod
     def zero(dim):
-        return LaurentPolynomial({}, dim)
+        return LaurentPolynomial._of({}, dim)
 
     @staticmethod
-    def monomial(exp, coef=1):
-        return LaurentPolynomial({tuple(exp): Fraction(coef)}, len(exp))
+    def monomial(exp):
+        return LaurentPolynomial({tuple(exp): 1}, len(exp))
 
     @staticmethod
     def one(dim):
-        return LaurentPolynomial({(0,) * dim: Fraction(1)}, dim)
+        return LaurentPolynomial._of({(0,) * dim: 1}, dim)
 
     def is_zero(self):
         return not self.coeffs
@@ -62,42 +93,22 @@ class LaurentPolynomial:
         return hash((self.dim, tuple(self.terms())))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPolynomial(out, self.dim)
+        return _summed(other.coeffs.items(), self.dim, dict(self.coeffs))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return _summed(((e, -c) for e, c in other.coeffs.items()), self.dim,
+                       dict(self.coeffs))
 
     def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
+        if not c:
             return LaurentPolynomial.zero(self.dim)
-        return LaurentPolynomial({e: c * v for e, v in self.coeffs.items()}, self.dim)
+        return LaurentPolynomial._of(
+            {e: c * v for e, v in self.coeffs.items()}, self.dim)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPolynomial(out, self.dim)
-
-    def shift(self, exp):
-        return LaurentPolynomial(
-            {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.coeffs.items()},
-            self.dim)
+        return _summed(((tuple(map(add, e1, e2)), c1 * c2)
+                        for e1, c1 in self.coeffs.items()
+                        for e2, c2 in other.coeffs.items()), self.dim)
 
     def pow(self, k):
         if k < 0:
@@ -111,13 +122,6 @@ class LaurentPolynomial:
             k >>= 1
         return out
 
-    def leading(self):
-        """Largest exponent in graded-lex order, with coefficient."""
-        if not self.coeffs:
-            raise EmptyInput("zero polynomial has no leading term")
-        e = max(self.coeffs, key=_grlex_key)
-        return e, self.coeffs[e]
-
     def divide_exact(self, other):
         """Exact quotient self / other; raises NotLaurent if not divisible.
 
@@ -126,7 +130,9 @@ class LaurentPolynomial:
         below coordinatewise (and in total degree) by the difference of the
         minima.  A candidate term violating a bound certifies
         non-divisibility, and within the bounded region the strictly
-        decreasing leading terms must terminate.
+        decreasing leading terms must terminate.  The remainder is one dict
+        from which each step subtracts t * other in place; graded lex is a
+        monomial order, so every step's term t is new to the quotient.
         """
         if other.is_zero():
             raise ZeroDivisionError
@@ -137,23 +143,27 @@ class LaurentPolynomial:
         coord_floor = tuple(
             min(e[i] for e in self.coeffs) - min(e[i] for e in other.coeffs)
             for i in range(self.dim))
-        rem = self
+        rem = dict(self.coeffs)
         q = {}
         steps = 0
-        le_g, lc_g = other.leading()
-        while not rem.is_zero():
+        le_g = max(other.coeffs, key=_grlex_key)
+        lc_g = other.coeffs[le_g]
+        while rem:
             steps += 1
             if steps > _DIVISION_STEPS:
                 raise NotLaurent("division did not terminate")
-            le_r, lc_r = rem.leading()
-            t_exp = tuple(a - b for a, b in zip(le_r, le_g))
+            le_r = max(rem, key=_grlex_key)
+            t_exp = tuple(map(sub, le_r, le_g))
             if sum(t_exp) < floor or any(x < f for x, f in
                                          zip(t_exp, coord_floor)):
                 raise NotLaurent("not divisible in the Laurent ring")
-            t_coef = lc_r / lc_g
-            q[t_exp] = q.get(t_exp, Fraction(0)) + t_coef
-            rem = rem - other.shift(t_exp).scale(t_coef)
-        return LaurentPolynomial(q, self.dim)
+            t = Fraction(rem[le_r]) / lc_g
+            if t.denominator == 1:
+                t = t.numerator
+            q[t_exp] = t
+            _summed(((tuple(map(add, e, t_exp)), -t * c)
+                     for e, c in other.coeffs.items()), self.dim, rem)
+        return LaurentPolynomial._of(q, self.dim)
 
     def to_json(self):
         return [{"exp": list(e), "coef": str(c)} for e, c in self.terms()]
@@ -189,10 +199,13 @@ class LaurentPolynomial:
 
 
 def binomial_power(base_exp, power, dim):
-    """(1 + z^base_exp)^power for integer power >= 0."""
-    one_plus = LaurentPolynomial.one(dim) + \
-        LaurentPolynomial.monomial(tuple(base_exp))
-    return one_plus.pow(power)
+    """(1 + z^base_exp)^power for integer power >= 0, in closed form: the
+    sum of C(power, i) z^(i base_exp), which is 2^power when base_exp = 0."""
+    if power < 0:
+        raise ValueError("negative power")
+    base = tuple(int(x) for x in base_exp)
+    return _summed(((tuple(i * b for b in base), comb(power, i))
+                    for i in range(power + 1)), dim)
 
 
 def _map_exponent(frame, e, lattice):
@@ -227,26 +240,24 @@ def _chart_step(s, s2, f, flavor, forward):
     to_own = dst.frames(flavor)[1]
     binom, pden, prow = s.exchange_pairing(flavor, k)
     lattice = "M°" if flavor == "A" else "N"
-    g = {}
-    powers = {}
+    terms = []
     for e, c in f.coeffs.items():
         init = _map_exponent(to_initial, e, lattice)
         p, r = divmod(sign * vdot(prow, init), pden)
         if r:
             raise NotLaurent("non-integral pairing; exponent not in %s"
                              % lattice)
-        g[init] = c
-        powers[init] = p
+        terms.append((init, c, p))
     dim = f.dim
-    shift = max(0, max((-p for p in powers.values()), default=0))
-    numer = LaurentPolynomial.zero(dim)
-    for e, c in g.items():
-        numer = numer + binomial_power(binom, powers[e] + shift,
-                                       dim).shift(e).scale(c)
+    shift = max([0] + [-p for _, _, p in terms])
+    numer = _summed(((tuple(map(add, e, x)), c * y) for e, c, p in terms
+                     for x, y in binomial_power(binom, p + shift,
+                                                dim).coeffs.items()), dim)
     if shift:
         numer = numer.divide_exact(binomial_power(binom, shift, dim))
-    return LaurentPolynomial({_map_exponent(to_own, e, lattice): c
-                              for e, c in numer.coeffs.items()}, dim)
+    # the frame is invertible, so distinct exponents stay distinct
+    return LaurentPolynomial._of({_map_exponent(to_own, e, lattice): c
+                                  for e, c in numer.coeffs.items()}, dim)
 
 
 def _edges_to_depth(s, depth):

@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from .errors import (BadParams, NonGenericEndpoint, NotInImage,
                      RankUnsupported, SingularPath, Truncated)
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _summed
 from .linalg import Mat, integer_scale, vdot, vec
 
 _PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -260,31 +260,28 @@ def wall_cross(mono, wall, crossing_sign, max_k):
     (a geometric series when the power is negative) is truncated at
     `max_k` series steps.
     """
-    coef, exp = Fraction(mono[0]), tuple(mono[1])
+    coef, exp = mono[0], tuple(mono[1])
     power = crossing_sign * vdot(wall.phi, exp)
-    if power == 0:
-        return LaurentPolynomial({exp: coef}, len(exp))
-    terms = wall.power_terms(int(power), max_k)
-    out = {}
-    for j, c in terms.items():
-        e = tuple(a + j * b for a, b in zip(exp, wall.g))
-        out[e] = out.get(e, Fraction(0)) + coef * c
-    return LaurentPolynomial(out, len(exp))
+    terms = wall.power_terms(power, max_k) if power else {0: 1}
+    return _summed(((tuple(a + j * b for a, b in zip(exp, wall.g)), coef * c)
+                    for j, c in terms.items()), len(exp))
 
 
 def _apply_wall(poly, wall, sign, dia, base_exp):
     """Apply one crossing to a polynomial, truncating offsets beyond the
     diagram order (offsets measured from base_exp)."""
-    out = LaurentPolynomial.zero(poly.dim)
-    for e, c in poly.coeffs.items():
-        used = dia.depth_of_offset(tuple(a - b for a, b in zip(e, base_exp)))
-        budget = dia.order - used
-        if budget < 0:
-            continue
-        out = out + wall_cross((c, e), wall, sign, max_k=budget // wall.deg)
+    def terms():
+        for e, c in poly.coeffs.items():
+            used = dia.depth_of_offset(tuple(a - b for a, b in
+                                             zip(e, base_exp)))
+            budget = dia.order - used
+            if budget >= 0:
+                yield from wall_cross((c, e), wall, sign,
+                                      max_k=budget // wall.deg).coeffs.items()
+
     # a wall's direction g has depth deg, so its j-th term adds
     # j * deg <= budget to the depth: no term lands past the order
-    return out
+    return _summed(terms(), poly.dim)
 
 
 def _crossings(dia, chambers):
@@ -438,7 +435,7 @@ def complete_rank2(dia):
             # the loop crosses the ray counterclockwise, along (-u1, u0)
             u = out.ray_dir(w)
             sign = -1 if vdot(out.proj(w.phi), (-u[1], u[0])) > 0 else 1
-            delta = -defect[off] / (sign * vdot(w.phi, base))
+            delta = Fraction(-defect[off], sign * vdot(w.phi, base))
             w.series[k] = w.series.get(k, Fraction(0)) + delta
             if w.series[k] == 0:
                 del w.series[k]
@@ -676,11 +673,8 @@ def theta_function(dia, m, degree_bound=None):
 
     def at(x0):
         lines, exact = enumerate_broken_lines(dia, m, x0, degree_bound)
-        poly = LaurentPolynomial.zero(dia.dim)
-        for ln in lines:
-            c, e = ln.final()
-            poly = poly + LaurentPolynomial.monomial(e, c)
-        return poly, exact
+        return _summed(((e, c) for c, e in map(BrokenLine.final, lines)),
+                       dia.dim), exact
 
     return _at_generic_point(lambda attempt: _sample_basepoint(dia, attempt),
                              at)

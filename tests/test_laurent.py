@@ -114,7 +114,8 @@ def test_transport_across_an_isolated_vertex_matches_exchange_step():
         got = transport(units[0], s1, s0, "A")
         assert got == _exchange_step(s0, units, 0)
         assert transport(got, s0, s1, "A") == units[0]
-    assert binomial_power((0, 0), 3, 2) == mono((0, 0), 8)
+    assert binomial_power((0, 0), 3, 2) == \
+        LaurentPolynomial({(0, 0): 8}, 2)
 
 
 def test_x_pullback_examples():
@@ -143,7 +144,7 @@ def test_is_pointed():
     assert is_pointed(mono((3, -2)), s, p) == (3, -2)
     f = LaurentPolynomial({(-1, 0): 1, (-1, 1): 1}, 2)
     assert is_pointed(f, s, p) == (-1, 0)
-    assert is_pointed(mono((1, 1), 2), s, p) is None
+    assert is_pointed(LaurentPolynomial({(1, 1): 2}, 2), s, p) is None
     not_pointed = LaurentPolynomial({(0, 0): 1, (1, 1): 1}, 2)
     assert is_pointed(not_pointed, s, p) is None
     # (1,0) and (0,1) ARE comparable: difference = p*_1(e_1 + e_2)
@@ -289,6 +290,144 @@ def test_divide_exact_step_limit_fails_loudly(monkeypatch):
         (q * g).divide_exact(g)
 
 
+class _FractionPoly:
+    """The Fraction arithmetic that the integer kernel replaced, kept as
+    the reference: every constructor turns each coefficient into a nonzero
+    Fraction, each division step copies the whole remainder, and binomial
+    powers come from repeated squaring."""
+
+    def __init__(self, coeffs, dim):
+        self.coeffs = {}
+        for e, c in coeffs.items():
+            c = Fraction(c)
+            if c != 0:
+                self.coeffs[tuple(int(x) for x in e)] = c
+        self.dim = dim
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return _FractionPoly(out, self.dim)
+
+    def scale(self, c):
+        return _FractionPoly({e: Fraction(c) * v
+                              for e, v in self.coeffs.items()}, self.dim)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return _FractionPoly(out, self.dim)
+
+    def shift(self, exp):
+        return _FractionPoly({tuple(a + b for a, b in zip(e, exp)): c
+                              for e, c in self.coeffs.items()}, self.dim)
+
+    def pow(self, k):
+        out = _FractionPoly({(0,) * self.dim: 1}, self.dim)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+    def divide_exact(self, other):
+        floor = (min(sum(e) for e in self.coeffs)
+                 - min(sum(e) for e in other.coeffs))
+        coord_floor = tuple(
+            min(e[i] for e in self.coeffs) - min(e[i] for e in other.coeffs)
+            for i in range(self.dim))
+        le_g = max(other.coeffs, key=laurent._grlex_key)
+        rem, q = self, {}
+        while rem.coeffs:
+            le_r = max(rem.coeffs, key=laurent._grlex_key)
+            t_exp = tuple(a - b for a, b in zip(le_r, le_g))
+            if sum(t_exp) < floor or any(x < f for x, f in
+                                         zip(t_exp, coord_floor)):
+                raise NotLaurent("not divisible in the Laurent ring")
+            t_coef = rem.coeffs[le_r] / other.coeffs[le_g]
+            q[t_exp] = q.get(t_exp, Fraction(0)) + t_coef
+            rem = rem - other.shift(t_exp).scale(t_coef)
+        return _FractionPoly(q, self.dim)
+
+
+def _binomial_power_reference(base, power, dim):
+    return (_FractionPoly({(0,) * dim: 1}, dim)
+            + _FractionPoly({tuple(base): 1}, dim)).pow(power)
+
+
+def _random_pair(rng, dim, rational):
+    coefs = [1, -1, 2, -3, 5] + ([Fraction(1, 2), Fraction(-2, 3)]
+                                 if rational else [])
+
+    def poly():
+        return {tuple(rng.randint(-2, 2) for _ in range(dim)):
+                rng.choice(coefs) for _ in range(rng.randint(1, 4))}
+
+    return poly(), poly()
+
+
+def _kind(c):
+    return type(c) in (int, Fraction) and \
+        (type(c) is int) == (Fraction(c).denominator == 1)
+
+
+def test_kernel_matches_fraction_reference():
+    # products, exact quotients and non-quotients of seeded random
+    # polynomials, some with Fraction coefficients, against the Fraction
+    # kernel; int inputs give int products
+    rng = random.Random(20261019)
+    raised = 0
+    for trial in range(300):
+        dim = rng.randint(1, 4)
+        rational = trial % 3 == 0
+        a, b = _random_pair(rng, dim, rational)
+        fa, fb = LaurentPolynomial(a, dim), LaurentPolynomial(b, dim)
+        ra, rb = _FractionPoly(a, dim), _FractionPoly(b, dim)
+        if fb.is_zero() or fa.is_zero():
+            continue
+        prod = fa * fb
+        assert prod.coeffs == (ra * rb).coeffs
+        if not rational:
+            assert all(type(c) is int for c in prod.coeffs.values())
+        q = prod.divide_exact(fb)
+        assert q == fa and q.coeffs == (ra * rb).divide_exact(rb).coeffs
+        assert all(_kind(c) for c in q.coeffs.values())
+        # one more term usually breaks divisibility: both kernels agree
+        extra = {tuple(rng.randint(-2, 2) for _ in range(dim)): 1}
+        g = prod + LaurentPolynomial(extra, dim)
+        if g.is_zero():
+            continue
+        rg = ra * rb + _FractionPoly(extra, dim)
+        got = _outcome(lambda: g.divide_exact(fb).coeffs)
+        want = _outcome(lambda: rg.divide_exact(rb).coeffs)
+        assert got == want
+        raised += isinstance(want, tuple)
+    assert raised > 20
+
+
+def test_binomial_power_matches_repeated_squaring():
+    dim = 3
+    units = [tuple(s * int(i == j) for j in range(dim))
+             for i in range(dim) for s in (1, -1)]
+    for base in [(0, 0, 0)] + units + [(1, -1, 0), (2, 0, -3), (-1, -1, 1)]:
+        for power in range(7):
+            got = binomial_power(base, power, dim)
+            assert got.coeffs == _binomial_power_reference(base, power,
+                                                           dim).coeffs
+            assert all(type(c) is int for c in got.coeffs.values())
+    with pytest.raises(ValueError):
+        binomial_power((1, 0, 0), -1, dim)
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -417,7 +556,8 @@ def _reference_step(s, s2, f, flavor, forward):
     shift = max([0] + [-p for _, _, p in terms])
     numer = LaurentPolynomial.zero(n)
     for e, c, p in terms:
-        numer = numer + binomial_power(binom, p + shift, n).shift(e).scale(c)
+        numer = numer + binomial_power(binom, p + shift, n) * \
+            LaurentPolynomial({e: c}, n)
     if shift:
         numer = numer.divide_exact(binomial_power(binom, shift, n))
     return apply_matrix(numer, to_own)

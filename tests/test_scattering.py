@@ -125,7 +125,7 @@ def _theta_at(dia, m, basepoint):
     poly = LaurentPolynomial.zero(dia.dim)
     for ln in lines:
         c, e = ln.final()
-        poly = poly + LaurentPolynomial.monomial(e, c)
+        poly = poly + LaurentPolynomial({e: c}, dia.dim)
     return poly, exact
 
 
