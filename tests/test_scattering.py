@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -147,6 +147,61 @@ def test_theta_pointed_and_endpoint_independent():
         assert vals == {theta_function(dia, m)[0]}
         th = vals.pop()
         assert is_pointed(th, s0, p) == m
+
+
+def greedy(a1, a2, b, c, box=12):
+    """The greedy element x[a1, a2] of the rank-2 cluster algebra A(b, c)
+    (Lee-Li-Zelevinsky 2014), as {exponent: coefficient}: the sum of
+    c(p, q) x1^(bp - a1) x2^(cq - a2) over 0 <= p, q <= box, with c(0, 0)
+    = 1 and every other c(p, q) the larger of the two sums below."""
+    cs = {}
+    for p, q in product(range(box + 1), repeat=2):
+        s1 = sum((-1) ** (k - 1) * cs[p - k, q]
+                 * comb(max(a2 - c * q, 0) + k - 1, k)
+                 for k in range(1, p + 1))
+        s2 = sum((-1) ** (k - 1) * cs[p, q - k]
+                 * comb(max(a1 - b * p, 0) + k - 1, k)
+                 for k in range(1, q + 1))
+        cs[p, q] = max(s1, s2) if p or q else 1
+    return {(b * p - a1, c * q - a2): v for (p, q), v in cs.items() if v}
+
+
+# (fixed data, (b, c) of the greedy recursion, order, label box, labels
+# whose theta function hits the order); (b, c) follows d, since the
+# transposed orientation fails on G2
+GREEDY_CASES = [
+    (A2, (1, 1), 10, 2, []),
+    (RUNNING, (1, 2), 10, 2, []),
+    (B2, (2, 1), 10, 2, []),
+    (G2, (1, 3), 12, 2, []),
+    (KRON, (2, 2), 12, 3, [(-3, -3)]),
+    (FixedData(2, {0, 1}, Mat([[0, 3], [-3, 0]]), (1, 1)), (3, 3), 10, 2,
+     [(-2, -2)]),
+]
+
+
+@pytest.mark.parametrize("fd, bc, order, box, truncated", GREEDY_CASES,
+                         ids=["A2", "running", "B2", "G2", "kronecker",
+                              "wild33"])
+def test_theta_equals_greedy_element(fd, bc, order, box, truncated):
+    """Outside oracle: in rank 2 the theta basis is the greedy basis
+    (Cheung-Gross-Muller-Musiker-Rupel-Stella-Williams 2017), and the
+    greedy element x[a] has the least exponent -a in each coordinate."""
+    dia = complete_rank2(initial_diagram(fd, ensemble_map(fd), order))
+    cut = []
+    for m in product(range(-box, box + 1), repeat=2):
+        if not any(m):
+            continue
+        theta, exact = theta_function(dia, m)
+        if not exact:
+            cut.append(m)
+            continue
+        a = [-min(e[i] for e in theta.coeffs) for i in range(2)]
+        assert theta.coeffs == greedy(*a, *bc), m
+        if sum(m) == -box:
+            # a larger recursion box adds no term
+            assert greedy(*a, *bc, box=16) == greedy(*a, *bc), m
+    assert cut == truncated
 
 
 def test_theta_on_x_running_example():
