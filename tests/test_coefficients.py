@@ -1,5 +1,5 @@
-"""Exact coefficient types, and a pinned digest of the Laurent kernel's
-transport and BFS outputs.
+"""Exact coefficient types, and pinned digests of the Laurent kernel's
+transport and BFS outputs and of the scattering outputs.
 
 Laurent coefficients are ints when integral and Fractions otherwise; an
 int / int division anywhere on their way would bring back a float, which
@@ -12,11 +12,12 @@ import numbers
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ctrop import acceptance, grassmannian, laurent, scattering
-from ctrop.errors import NotLaurent, Truncated
+from ctrop.errors import DomainError, NotLaurent, Truncated
 from ctrop.laurent import LaurentPolynomial, PointedDecomposition
 from ctrop.linalg import Mat
 from ctrop.scattering import ScatteringDiagram, Wall
@@ -64,6 +65,64 @@ def test_transport_and_bfs_digest_is_pinned():
         h.update(json.dumps(record).encode())
         h.update(b"\n")
     assert h.hexdigest() == CORPUS_SHA256
+
+
+# sha256 of _scattering_corpus() as computed with Fraction wall series,
+# before scattering coefficients became ints when integral
+SCATTERING_SHA256 = \
+    "58c3d2036cdf2525cac4061492978c33461ebb4df82ffb2cbab663d3c0341bbb"
+
+# (fixed data, order) of the rank-2 diagrams in the scattering corpus:
+# A2, B2, G2 and Kronecker
+CORPUS_DIAGRAMS = [
+    (FixedData(2, {0, 1}, Mat([[0, b], [-b, 0]]), d), order)
+    for d, b, order in (((1, 1), 1, 6), ((2, 1), 1, 6), ((1, 3), 1, 6),
+                        ((1, 1), 2, 6))]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the name of the domain error it raises."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc).__name__
+
+
+def _scattering_corpus():
+    """JSON-ready records: per rank-2 diagram its completion, the theta
+    functions with labels in [-2, 2]^2 and structure constants with r at
+    p + q, at 0, on a wall and off the walls; then Gr(3,6) structure
+    constants alpha(p124, p356, p124 + p356 + sum c_j g_j)."""
+    for fd, order in CORPUS_DIAGRAMS:
+        dia = scattering.complete_rank2(
+            scattering.initial_diagram(fd, ensemble_map(fd), order))
+        yield dia.to_json()
+        for m in product(range(-2, 3), repeat=2):
+            theta, exact = scattering.theta_function(dia, m)
+            yield [list(m), theta.to_json(), exact]
+        for p, q in (((1, 0), (0, 1)), ((-1, 0), (1, 0)),
+                     ((-1, 1), (1, 0)), ((1, -1), (-1, 2)),
+                     ((1, -1), (1, -1))):
+            pq = tuple(a + b for a, b in zip(p, q))
+            for r in sorted({pq, (0, 0), (1, 0), (0, -1), (2, -1), (-1, 2)}):
+                alpha = _outcome(scattering.structure_constant, dia, p, q,
+                                 r, order)
+                yield [list(p), list(q), list(r), str(alpha)]
+    dia, fx = acceptance.gr36_fixture_diagram()
+    p, q = fx["valuations"]["124"], fx["valuations"]["356"]
+    for c in product(range(2), repeat=4):
+        r = [a + b + sum(cj * w.g[i] for cj, w in zip(c, dia.walls))
+             for i, (a, b) in enumerate(zip(p, q))]
+        alpha = scattering.structure_constant(dia, p, q, r, 8)
+        yield [list(c), str(alpha)]
+
+
+def test_scattering_digest_is_pinned():
+    h = hashlib.sha256()
+    for record in _scattering_corpus():
+        h.update(json.dumps(record, sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == SCATTERING_SHA256
 
 
 def _numbers(obj):
