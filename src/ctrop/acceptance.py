@@ -156,7 +156,7 @@ def criterion_4():
     g_sum = tuple(a + b for a, b in zip(
         dia_a2.fd.epsilon().rows[0], dia_a2.fd.epsilon().rows[1]))
     a2_ok = (len(rays) == 1 and rays[0].n0 == (1, 1)
-             and rays[0].series == {1: Fraction(1)}
+             and rays[0].series == {1: 1}
              and rays[0].g == tuple(int(x) for x in g_sum)
              and is_consistent(dia_a2, 10))
     dia_run, _ = fixture_diagram("running-example", 12, principal=True)

@@ -2,12 +2,13 @@
 and the g-vector valuation.
 
 A LaurentPolynomial stores a sparse map from integer exponent tuples to
-nonzero exact coefficients: int when integral, else Fraction.  Cluster
-variables have integer coefficients (the Laurent phenomenon), so the
-arithmetic stays on ints until a rational enters through from_json, a wall
-series or a division.  Exponents are interpreted in the tagged seed's own
-cluster coordinates; transitions between charts convert through the
-initial coordinates internally.
+nonzero exact coefficients: int when integral, else Fraction (the rule
+of linalg.exact).  Cluster variables have integer coefficients (the Laurent
+phenomenon), so the arithmetic stays on ints until a rational enters
+through from_json, a division or a wall series, and a wall series brings
+one only when it is rational.  Exponents are interpreted in the tagged
+seed's own cluster coordinates; transitions between charts convert through
+the initial coordinates internally.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb
 from operator import add, sub
 
 from .errors import BadParams, EmptyInput, NotInSpan, NotLaurent, RankError
-from .linalg import LESS, dominance_compare, vdot
+from .linalg import LESS, dominance_compare, exact, vdot
 
 # leading-term steps divide_exact takes before giving up
 _DIVISION_STEPS = 500_000
@@ -52,10 +53,9 @@ class LaurentPolynomial:
         coefficients exact (an integral one an int), zeros are dropped."""
         self.coeffs = {}
         for e, c in coeffs.items():
-            c = Fraction(c)
+            c = exact(c)
             if c:
-                self.coeffs[tuple(int(x) for x in e)] = \
-                    c.numerator if c.denominator == 1 else c
+                self.coeffs[tuple(int(x) for x in e)] = c
         self.dim = dim
 
     @classmethod
@@ -157,10 +157,7 @@ class LaurentPolynomial:
             if sum(t_exp) < floor or any(x < f for x, f in
                                          zip(t_exp, coord_floor)):
                 raise NotLaurent("not divisible in the Laurent ring")
-            t = Fraction(rem[le_r]) / lc_g
-            if t.denominator == 1:
-                t = t.numerator
-            q[t_exp] = t
+            t = q[t_exp] = exact(Fraction(rem[le_r], lc_g))
             _summed(((tuple(map(add, e, t_exp)), -t * c)
                      for e, c in other.coeffs.items()), self.dim, rem)
         return LaurentPolynomial._of(q, self.dim)
@@ -307,8 +304,8 @@ class PointedDecomposition:
             m = tuple(int(x) for x in m)
             if m in seen:
                 raise ValueError("duplicate label %r" % (m,))
-            c = Fraction(c)
-            if c != 0:
+            c = exact(c)
+            if c:
                 seen[m] = c
         self.terms = sorted(((c, m) for m, c in seen.items()),
                             key=lambda t: _grlex_key(t[1]))

@@ -20,6 +20,15 @@ GREATER = "Greater"
 INCOMPARABLE = "Incomparable"
 
 
+def exact(c):
+    """The rational c as an int when it is integral, else as a Fraction:
+    the one rule for the type of an exact coefficient."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def vec(entries):
     return tuple(Fraction(x) if not isinstance(x, (int, Fraction)) else x for x in entries)
 

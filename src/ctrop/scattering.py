@@ -8,6 +8,10 @@ primitive N°-normal expressed against the coordinate basis), so crossing
 powers are plain dot products.  With one or two mutable directions every
 wall support is the preimage of a line or ray under projection to the
 mutable coordinates, which keeps all incidence tests exact.
+
+Coefficients follow the Laurent kernel's rule, linalg.exact: wall series,
+broken-line coefficients, theta functions and structure constants are ints
+when integral and Fractions only when a rational wall series brings one.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from math import gcd, lcm
 from .errors import (BadParams, NonGenericEndpoint, NotInImage,
                      RankUnsupported, SingularPath, Truncated)
 from .laurent import LaurentPolynomial, _summed
-from .linalg import Mat, integer_scale, vdot, vec
+from .linalg import Mat, exact, integer_scale, vdot, vec
 
 _PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
            71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
@@ -43,8 +47,8 @@ class Wall:
     def __init__(self, phi, g, series, n0, deg, kind):
         self.phi = tuple(int(x) for x in phi)
         self.g = tuple(int(x) for x in g)
-        self.series = {int(k): Fraction(c) for k, c in series.items()
-                       if Fraction(c) != 0}
+        self.series = {int(k): c for k, c in
+                       ((k, exact(c)) for k, c in series.items()) if c}
         self.n0 = tuple(int(x) for x in n0)
         self.deg = int(deg)
         self.kind = kind
@@ -59,7 +63,8 @@ class Wall:
         J. C. P. Miller's recurrence n a_n = sum_k ((power+1) k - n) c_k
         a_(n-k) (Knuth, TAOCP Vol. 2, 4.7).  With c_k = C_k / L over the
         common denominator L, the integers A_n = L^n a_n satisfy the same
-        recurrence with C_k L^(k-1) in place of c_k."""
+        recurrence with C_k L^(k-1) in place of c_k; an integral series
+        (L = 1) gives the A_n themselves."""
         den = lcm(*(c.denominator for c in self.series.values()))
         scaled = [(k, int(c * den) * den ** (k - 1))
                   for k, c in self.series.items()]
@@ -67,14 +72,15 @@ class Wall:
         for n in range(1, kmax + 1):
             a.append(sum(((power + 1) * k - n) * c * a[n - k]
                          for k, c in scaled if k <= n) // n)
-        return {j: Fraction(c, den ** j) for j, c in enumerate(a) if c}
+        return {j: exact(Fraction(c, den ** j)) if den > 1 else c
+                for j, c in enumerate(a) if c}
 
     def to_json(self):
         kmax = self.max_k()
         return {
             "n0": list(self.n0),
             "direction": list(self.g),
-            "series": [str(self.series.get(k, Fraction(0)))
+            "series": [str(self.series.get(k, 0))
                        for k in range(1, kmax + 1)],
             "kind": self.kind,
         }
@@ -435,8 +441,8 @@ def complete_rank2(dia):
             # the loop crosses the ray counterclockwise, along (-u1, u0)
             u = out.ray_dir(w)
             sign = -1 if vdot(out.proj(w.phi), (-u[1], u[0])) > 0 else 1
-            delta = Fraction(-defect[off], sign * vdot(w.phi, base))
-            w.series[k] = w.series.get(k, Fraction(0)) + delta
+            w.series[k] = exact(w.series.get(k, 0) + Fraction(
+                -defect[off], sign * vdot(w.phi, base)))
             if w.series[k] == 0:
                 del w.series[k]
     if not is_consistent(out):
@@ -574,7 +580,7 @@ def _walk(dia, m, x, v, later, bends, results):
     if rem == 0:
         # certify that the initial ray is clean
         _segment_crossings(dia, x, v)
-        results.append([(m, None, None, Fraction(1))] + list(reversed(later)))
+        results.append([(m, None, None, 1)] + list(reversed(later)))
         return
     for _, i, y in _segment_crossings(dia, x, v):
         w = dia.walls[i]
@@ -620,7 +626,7 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
     lines = []
     hit_bound = False
     for segs in results:
-        coef = Fraction(1)
+        coef = 1
         full = []
         for exp, wi, pt, factor in segs:
             coef *= factor
@@ -637,7 +643,7 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
 def _sample_basepoint(dia, attempt):
     p = _PRIMES[(2 * attempt) % len(_PRIMES)]
     q = _PRIMES[(2 * attempt + 1) % len(_PRIMES)]
-    x = [Fraction(0)] * dia.dim
+    x = [0] * dia.dim
     ks = _mutable(dia)
     x[ks[0]] = 1 + Fraction(1, p)
     if len(ks) > 1:
@@ -713,9 +719,9 @@ def structure_constant(dia, p_lab, q_lab, r_lab, degree_bound=None):
     q_lab = _label(dia, q_lab)
     r_lab = _label(dia, r_lab)
     if not any(p_lab):
-        return Fraction(1) if q_lab == r_lab else Fraction(0)
+        return 1 if q_lab == r_lab else 0
     if not any(q_lab):
-        return Fraction(1) if p_lab == r_lab else Fraction(0)
+        return 1 if p_lab == r_lab else 0
     bound = degree_bound if degree_bound is not None else dia.order
 
     def at(z):
@@ -723,14 +729,14 @@ def structure_constant(dia, p_lab, q_lab, r_lab, degree_bound=None):
         lines_q, ex_q = enumerate_broken_lines(dia, q_lab, z, bound)
         if not (ex_p and ex_q):
             raise Truncated("degree bound reached while pairing broken lines")
-        total = Fraction(0)
+        total = 0
         for l1 in lines_p:
             c1, f1 = l1.final()
             for l2 in lines_q:
                 c2, f2 = l2.final()
                 if tuple(a + b for a, b in zip(f1, f2)) == r_lab:
                     total += c1 * c2
-        return total
+        return exact(total)
 
     return _at_generic_point(lambda attempt: _near_point(dia, r_lab, attempt),
                              at)

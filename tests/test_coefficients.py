@@ -160,8 +160,9 @@ _RECORDED = (
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Counter of (function, type) over every number those functions
-    return, with each function replaced wherever ctrop holds it."""
+    """Counter of (function, type, is an integral Fraction) over every
+    number those functions return, with each function replaced wherever
+    ctrop holds it."""
     seen = Counter()
     holders = [m for name, m in sys.modules.items()
                if name == "ctrop" or name.startswith("ctrop.")]
@@ -170,7 +171,9 @@ def recorded(monkeypatch):
 
         def wrapper(*args, _fn=fn, _attr=attr, **kw):
             out = _fn(*args, **kw)
-            seen.update((_attr, type(c)) for c in _numbers(out))
+            seen.update((_attr, type(c),
+                         type(c) is Fraction and c.denominator == 1)
+                        for c in _numbers(out))
             return out
 
         for holder in [owner] + holders:
@@ -206,9 +209,16 @@ def test_coefficients_are_int_or_fraction(recorded):
     _theta_corpus()
     for _ in _transport_bfs_corpus():
         pass
+    # a rational wall series: the corpus above is integral throughout
+    half = Wall((1, 0), (0, 1), {1: Fraction(1, 2)}, (1, 0), 1, "line")
+    scattering.wall_cross((1, (3, 2)), half, 1, 4)
     types = Counter()
-    for (_, t), count in recorded.items():
+    for (_, t, _), count in recorded.items():
         types[t] += count
     assert set(types) == {int, Fraction}, types
+    # an integral value is an int, never a Fraction with denominator 1
+    integral = Counter({f: n for (f, _, whole), n in recorded.items()
+                        if whole})
+    assert not integral, integral
     # every recorded function was reached
-    assert {f for f, _ in recorded} == {attr for _, attr in _RECORDED}
+    assert {f for f, _, _ in recorded} == {attr for _, attr in _RECORDED}
