@@ -2,9 +2,9 @@
 
 Subcommands mirror the library modules: `seed mutate`, `laurent transport`,
 `trop map`, `poly hull|slice|points`, `scatter complete|theta|alpha`,
-`gr val|gvec|verify|nobody`, `accept run`.  All numeric output is exact
-rational strings; `--float` renders decimals for humans.  Exit codes:
-0 success, 1 domain error (machine-readable JSON on stderr), 2 usage error.
+`gr val|gvec|verify|nobody`, `accept run`.  Rationals are printed as
+exact strings and integer data as JSON numbers.  Exit codes: 0 success,
+1 domain error (machine-readable JSON on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -77,19 +77,8 @@ def _load_polytope(path):
     return convex_hull(_points(data["vertices"]))
 
 
-def _render(value, as_float):
-    if isinstance(value, Fraction):
-        return float(value) if as_float else str(value)
-    if isinstance(value, (list, tuple)):
-        return [_render(v, as_float) for v in value]
-    if isinstance(value, dict):
-        return {k: _render(v, as_float) for k, v in value.items()}
-    return value
-
-
-def _emit(payload, args):
-    json.dump(_render(payload, getattr(args, "float", False)), sys.stdout,
-              indent=2, sort_keys=True)
+def _emit(payload):
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
@@ -122,7 +111,7 @@ def cmd_seed_mutate(args):
     out = seed_to_json(s2)
     out["eps"] = [[str(x) for x in row] for row in s2.eps.rows]
     out["basis"] = [[str(x) for x in row] for row in s2.basis.rows]
-    _emit(out, args)
+    _emit(out)
 
 
 def cmd_laurent_transport(args):
@@ -132,7 +121,7 @@ def cmd_laurent_transport(args):
     to = fd.seed(_ints(args.to_word))
     poly = LaurentPolynomial.from_json(_load_json(args.poly), fd.n)
     res = transport(poly, frm, to, args.flavor)
-    _emit({"poly": res.to_json()}, args)
+    _emit({"poly": res.to_json()})
 
 
 def cmd_trop_map(args):
@@ -148,7 +137,7 @@ def cmd_trop_map(args):
             pt = trop_mutate(pt, k, cur, args.flavor)
             cur = cur.mutate(k)
         _emit({"word": list(pt.word), "coords": [str(x) for x in pt.coords],
-               "convention": pt.conv}, args)
+               "convention": pt.conv})
         return
     poly = _load_polytope(args.polytope)
     if poly.dim != fd.n:
@@ -158,12 +147,12 @@ def cmd_trop_map(args):
     img, report = apply_pl_to_polytope(plmap, poly)
     _emit({"polytope": img.to_json(),
            "convex": report.convex,
-           "step_convex": report.step_convex}, args)
+           "step_convex": report.step_convex})
 
 
 def cmd_poly_hull(args):
     pts = _points(_load_json(args.points))
-    _emit({"polytope": convex_hull(pts).to_json()}, args)
+    _emit({"polytope": convex_hull(pts).to_json()})
 
 
 def cmd_poly_slice(args):
@@ -174,17 +163,17 @@ def cmd_poly_slice(args):
     from .polytopes import AffineSubspace
     fiber = AffineSubspace(_hyperplanes(_load_json(args.fiber), "value"),
                            cone.dim)
-    _emit({"polytope": slice_cone(cone, fiber).to_json()}, args)
+    _emit({"polytope": slice_cone(cone, fiber).to_json()})
 
 
 def cmd_poly_points(args):
     pts = lattice_points(_load_polytope(args.polytope))
-    _emit({"count": len(pts), "points": [list(p) for p in pts]}, args)
+    _emit({"count": len(pts), "points": [list(p) for p in pts]})
 
 
 def cmd_scatter_complete(args):
     dia, _ = fixture_diagram(args.fixture, args.order, args.principal)
-    _emit(dia.to_json(), args)
+    _emit(dia.to_json())
 
 
 def cmd_scatter_theta(args):
@@ -195,26 +184,25 @@ def cmd_scatter_theta(args):
     else:
         dia, p = fixture_diagram(args.fixture, args.order, args.principal)
         poly, exact = theta_function(dia, label, degree_bound=args.order)
-    _emit({"label": list(label), "theta": poly.to_json(), "exact": exact},
-          args)
+    _emit({"label": list(label), "theta": poly.to_json(), "exact": exact})
 
 
 def cmd_scatter_alpha(args):
     dia, _ = fixture_diagram(args.fixture, args.order, args.principal)
     alpha = structure_constant(dia, _label(args.p), _label(args.q),
                                _label(args.r), args.order)
-    _emit({"alpha": str(alpha)}, args)
+    _emit({"alpha": str(alpha)})
 
 
 def cmd_gr_val(args):
     tab = gt_valuation(_ints(args.J), args.k, args.n)
-    _emit({"tableau": [list(r) for r in tab]}, args)
+    _emit({"tableau": [list(r) for r in tab]})
 
 
 def cmd_gr_gvec(args):
     J = _ints(args.J)
     _emit({"g": list(hook_g_vector(J, args.k, args.n)),
-           "homogenized": list(homogenized_g(J, args.k, args.n))}, args)
+           "homogenized": list(homogenized_g(J, args.k, args.n))})
 
 
 def cmd_gr_verify(args):
@@ -230,7 +218,7 @@ def cmd_gr_verify(args):
            "ok": passed == len(rep)}
     if args.verbose:
         out["per_index"] = {"".join(map(str, J)): v for J, v in rep.items()}
-    _emit(out, args)
+    _emit(out)
 
 
 def cmd_gr_nobody(args):
@@ -245,7 +233,7 @@ def cmd_gr_nobody(args):
     if args.check_unimodular:
         ok, _u = bodies_unimodular(args.k, args.n)
         out["unimodular_to_flow"] = ok
-    _emit(out, args)
+    _emit(out)
 
 
 def cmd_accept_run(args):
@@ -256,8 +244,6 @@ def cmd_accept_run(args):
 
 def build_parser():
     top = argparse.ArgumentParser(prog="ctrop", description=__doc__)
-    top.add_argument("--float", action="store_true",
-                     help="render rationals as decimals (never in tests)")
     sub = top.add_subparsers(dest="command", required=True)
 
     seed = sub.add_parser("seed").add_subparsers(dest="sub", required=True)

@@ -335,13 +335,6 @@ def test_gr_verify_csv(capsys):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
-def test_float_rendering(capsys):
-    rc, out, _ = run_cli(capsys, "--float", "gr", "val", "--k", "2",
-                         "--n", "4", "--J", "2,4")
-    assert rc == 0
-    assert json.loads(out)["tableau"] == [[0, 1], [1, 1]]
-
-
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 RUNNING_SEED = str(INPUTS / "running_seed.json")
