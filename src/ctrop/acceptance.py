@@ -203,7 +203,7 @@ def criterion_5():
         if name == "a2" and trial < 20:
             for c, r in expansion.terms:
                 alpha = structure_constant(dia, pl, ql, r, 12)
-                if alpha != c or alpha < 0 or Fraction(alpha).denominator != 1:
+                if alpha != c or alpha < 0 or type(alpha) is not int:
                     alphas_ok = False
     return checked == 200 and alphas_ok, \
         "pairs=%d alpha-nonneg-int=%s" % (checked, alphas_ok)

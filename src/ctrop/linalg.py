@@ -23,8 +23,6 @@ INCOMPARABLE = "Incomparable"
 def exact(c):
     """The rational c as an int when it is integral, else as a Fraction:
     the one rule for the type of an exact coefficient."""
-    if type(c) is int:
-        return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

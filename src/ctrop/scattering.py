@@ -191,13 +191,9 @@ class ScatteringDiagram:
                             % (tuple(offset),))
         return d
 
-    def walls_sorted(self):
-        return sorted(range(len(self.walls)),
-                      key=lambda i: (self.walls[i].n0, self.walls[i].kind))
-
     def to_json(self):
-        return {"order": self.order,
-                "walls": [self.walls[i].to_json() for i in self.walls_sorted()]}
+        walls = sorted(self.walls, key=lambda w: (w.n0, w.kind))
+        return {"order": self.order, "walls": [w.to_json() for w in walls]}
 
 
 def _on_ray(y, u):
@@ -463,10 +459,6 @@ class BrokenLine:
         self.segments = segments
         self.endpoint = tuple(endpoint)
 
-    @property
-    def initial_exponent(self):
-        return self.segments[0][0]
-
     def final(self):
         seg = self.segments[-1]
         return (seg[1], seg[0])
@@ -489,7 +481,7 @@ class BrokenLine:
 
     def __repr__(self):
         return "BrokenLine(%r -> %r at %r)" % (
-            self.initial_exponent, self.final(), self.endpoint)
+            self.segments[0][0], self.final(), self.endpoint)
 
 
 def _segment_crossings(dia, x, v):
@@ -693,13 +685,9 @@ def theta_on_x(dia_prin, dn, p, degree_bound=None):
     fdp = dia_prin.fd
     n_small = fdp.n // 2
     d_all = lcm(*fdp.d[:n_small])
-    n_vec = []
-    for x in dn:
-        f = Fraction(x, d_all)
-        if f.denominator != 1:
-            raise BadParams("label must be divisible by lcm of multipliers")
-        n_vec.append(int(f))
-    n_vec = tuple(n_vec)
+    if any(x % d_all for x in dn):
+        raise BadParams("label must be divisible by lcm of multipliers")
+    n_vec = tuple(x // d_all for x in dn)
     label = tuple(int(x) for x in p.apply(n_vec)) + n_vec
     theta, exact = theta_function(dia_prin, label, degree_bound=degree_bound)
     out = {}
@@ -762,9 +750,6 @@ def _near_point(dia, r, attempt):
             if vr != 0 and (vr > 0) != (vz > 0):
                 ok = False
                 break
-        if ok and dia.unfrozen is not None:
-            if all(c == 0 for c in dia.proj(z)):
-                ok = False
         if ok:
             return z
     return None
