@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import acceptance
 from .acceptance import fixture_diagram
-from .errors import BadParams, DomainError
+from .errors import BadParams, DomainError, json_list
 from .grassmannian import (bodies_unimodular, gt_valuation,
                            hook_g_vector, homogenized_g, no_body,
                            verify_val_gv)
@@ -47,7 +47,8 @@ def _points(data):
     """Rational points of one common length; a ragged or malformed list
     is a BadParams error."""
     try:
-        pts = [[Fraction(x) for x in v] for v in data]
+        pts = [[Fraction(x) for x in json_list(v, "a point")]
+               for v in json_list(data, "the point list")]
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise BadParams("malformed point list: %s" % (exc,))
     if len({len(v) for v in pts}) > 1:
@@ -60,10 +61,10 @@ def _hyperplanes(data, rhs, default=None):
     "normal" and an `rhs` entry (`default` for a row without one, if
     given); a missing field or a malformed number is a BadParams error."""
     try:
-        return [([Fraction(x) for x in row["normal"]],
+        return [([Fraction(x) for x in json_list(row["normal"], "a normal")],
                  Fraction(row[rhs] if default is None
                           else row.get(rhs, default)))
-                for row in data]
+                for row in json_list(data, "the row list")]
     except KeyError as exc:
         raise BadParams("each row needs %s" % (exc,))
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -101,7 +102,10 @@ def _label(text):
     if "(" in text:
         scale, rest = text.split("(", 1)
         scale = _int(scale, text) if scale.strip() else 1
-        return tuple(scale * x for x in _ints(rest.rstrip(")"), text))
+        label = tuple(scale * x for x in _ints(rest.rstrip(")"), text))
+        if not rest.endswith(")"):
+            raise BadParams("label %r lacks its closing parenthesis" % text)
+        return label
     return _ints(text)
 
 

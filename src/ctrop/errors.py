@@ -1,4 +1,5 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and json_list, the check
+that outside JSON holds an array where one is expected.
 
 Every error that corresponds to a domain-level failure (as opposed to a
 programming error) derives from DomainError so the CLI can map it to a
@@ -56,6 +57,15 @@ class RankUnsupported(DomainError):
 
 class BadParams(DomainError):
     code = "bad-params"
+
+
+def json_list(value, what):
+    """value when it is a JSON array; BadParams naming `what` otherwise,
+    since a string would be read by its characters and an object by its
+    keys."""
+    if not isinstance(value, list):
+        raise BadParams("%s must be a JSON array" % what)
+    return value
 
 
 class Truncated(DomainError):

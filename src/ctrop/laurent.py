@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import comb
 from operator import add, sub
 
-from .errors import BadParams, EmptyInput, NotInSpan, NotLaurent, RankError
+from .errors import (BadParams, EmptyInput, NotInSpan, NotLaurent, RankError,
+                     json_list)
 from .linalg import LESS, dominance_compare, exact, vdot
 
 # leading-term steps divide_exact takes before giving up
@@ -173,8 +174,8 @@ class LaurentPolynomial:
         a BadParams error."""
         coeffs = {}
         try:
-            for t in data:
-                e = tuple(t["exp"])
+            for t in json_list(data, "a Laurent polynomial"):
+                e = tuple(json_list(t["exp"], "a Laurent exponent"))
                 exp = tuple(int(x) for x in e)
                 if any(Fraction(x) != y for x, y in zip(e, exp)):
                     raise BadParams("Laurent exponent %s is not integral"

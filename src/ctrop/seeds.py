@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import BadParams, FrozenIndex
+from .errors import BadParams, FrozenIndex, json_list
 from .linalg import Mat, TotalOrder, integer_scale, vdot, vec
 
 POS = lambda x: x if x > 0 else 0
@@ -321,11 +321,12 @@ def seed_from_json(data):
     try:
         fd = FixedData(
             data["n"],
-            data["unfrozen"],
-            Mat([[Fraction(x) for x in row] for row in data["lambda"]]),
-            data["d"],
+            json_list(data["unfrozen"], 'seed "unfrozen"'),
+            Mat([[Fraction(x) for x in json_list(row, 'a "lambda" row')]
+                 for row in json_list(data["lambda"], 'seed "lambda"')]),
+            json_list(data["d"], 'seed "d"'),
         )
-        word = tuple(data["word"])
+        word = tuple(json_list(data["word"], 'seed "word"'))
     except KeyError as exc:
         raise BadParams("seed JSON is missing %s" % (exc,))
     except (TypeError, ValueError, ArithmeticError) as exc:

@@ -69,7 +69,11 @@ def test_seed_mutate_missing_unfrozen_is_domain_error(tmp_path, capsys):
     ({"d": [1]}, 0),
     ({"unfrozen": [0, 1, 5]}, 5),
     ({"d": [1.5, 1]}, 0),
-], ids=["short_d", "unfrozen_out_of_range", "non_integral_d"])
+    ({"lambda": ["00", "00"]}, 0),
+    ({"word": "0"}, 0),
+    ({"d": "11"}, 0),
+], ids=["short_d", "unfrozen_out_of_range", "non_integral_d",
+        "lambda_rows_as_strings", "word_as_string", "d_as_string"])
 def test_seed_mutate_inconsistent_fixed_data_is_domain_error(tmp_path, capsys,
                                                              fields, k):
     seed = {"n": 2, "unfrozen": [0, 1],
@@ -122,10 +126,12 @@ def test_scatter_theta_label_of_wrong_length_is_domain_error(capsys):
     ("scatter", "theta", "--fixture", "a2", "--label=1,x"),
     ("scatter", "theta", "--fixture", "a2", "--label=2(1,q"),
     ("scatter", "theta", "--fixture", "a2", "--label=y(1,0)"),
+    ("scatter", "theta", "--fixture", "a2", "--label=2(1,0"),
     ("scatter", "alpha", "--fixture", "a2", "--p=-1,0", "--q=1,0",
      "--r=1,y"),
     ("gr", "val", "--k", "2", "--n", "5", "--J=1,a"),
-], ids=["label", "scaled_label", "label_scale", "alpha_r", "gr_J"])
+], ids=["label", "scaled_label", "label_scale", "unclosed_label", "alpha_r",
+        "gr_J"])
 def test_malformed_integer_option_is_domain_error(capsys, argv):
     assert _bad_params(capsys, *argv)
 
@@ -164,11 +170,13 @@ def test_laurent_transport_across_an_isolated_vertex(tmp_path, capsys):
 @pytest.mark.parametrize("terms", [
     [{"exp": [1, 0], "coef": "1"}, {"exp": [1, 0], "coef": "2"}],
     [{"exp": [1.5, 0], "coef": "1"}],
-], ids=["repeated_exponent", "non_integral_exponent"])
+    [{"exp": "12", "coef": "3"}],
+], ids=["repeated_exponent", "non_integral_exponent", "exponent_as_string"])
 def test_laurent_transport_lossy_terms_are_domain_errors(tmp_path, capsys,
                                                          terms):
-    # neither may be read as some other polynomial: the repeated term is
-    # not summed or dropped, and 1.5 is not truncated to 1
+    # none may be read as some other polynomial: the repeated term is not
+    # summed or dropped, 1.5 is not truncated to 1, and "12" is not read
+    # as the exponent (1, 2)
     assert _transport_poly(tmp_path, capsys, terms)
 
 
@@ -176,6 +184,20 @@ def test_poly_hull_ragged_points_is_domain_error(tmp_path, capsys):
     f = tmp_path / "pts.json"
     f.write_text(json.dumps([[0, 0], [2, 0, 1], [0, 2], [2, 2]]))
     assert _bad_params(capsys, "poly", "hull", "--points", str(f))
+
+
+@pytest.mark.parametrize("command, data", [
+    ("hull", "12"),
+    ("hull", {"34": 1, "56": 2}),
+    ("points", {"vertices": "12"}),
+], ids=["points_as_string", "points_as_object", "vertices_as_string"])
+def test_point_list_that_is_no_array_is_domain_error(tmp_path, capsys,
+                                                     command, data):
+    # a string would be read as its characters, an object as its keys
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(data))
+    opt = "--points" if command == "hull" else "--polytope"
+    assert _bad_params(capsys, "poly", command, opt, str(f))
 
 
 def _slice_argv(tmp_path, cone, fiber):
@@ -206,9 +228,10 @@ def test_poly_slice(tmp_path, capsys):
     ([{"normal": [1, 0]}, {"normal": [0, 1, 7]},
       {"normal": [-1, -1], "offset": -3}], []),
     (SLICE_CONE, [{"normal": [1, 1, 0], "value": 2}]),
+    (SLICE_CONE, [{"normal": "11", "value": 1}]),
 ], ids=["fiber_without_value", "fiber_without_normal", "cone_without_normal",
         "malformed_value", "empty_cone", "cone_row_of_other_length",
-        "fiber_of_other_dimension"])
+        "fiber_of_other_dimension", "normal_as_string"])
 def test_poly_slice_bad_rows_are_domain_errors(tmp_path, capsys, cone,
                                                fiber):
     assert _bad_params(capsys, *_slice_argv(tmp_path, cone, fiber))
