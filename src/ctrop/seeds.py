@@ -331,4 +331,6 @@ def seed_from_json(data):
         raise BadParams("seed JSON is missing %s" % (exc,))
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise BadParams("malformed seed JSON: %s" % (exc,))
+    if any(type(k) is not int for k in word):
+        raise BadParams("seed word %r must hold integers" % (list(word),))
     return fd.seed(word)

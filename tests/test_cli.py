@@ -71,9 +71,11 @@ def test_seed_mutate_missing_unfrozen_is_domain_error(tmp_path, capsys):
     ({"d": [1.5, 1]}, 0),
     ({"lambda": ["00", "00"]}, 0),
     ({"word": "0"}, 0),
+    ({"word": [1.0]}, 0),
     ({"d": "11"}, 0),
 ], ids=["short_d", "unfrozen_out_of_range", "non_integral_d",
-        "lambda_rows_as_strings", "word_as_string", "d_as_string"])
+        "lambda_rows_as_strings", "word_as_string", "word_of_floats",
+        "d_as_string"])
 def test_seed_mutate_inconsistent_fixed_data_is_domain_error(tmp_path, capsys,
                                                              fields, k):
     seed = {"n": 2, "unfrozen": [0, 1],
