@@ -98,15 +98,20 @@ def _ints(text, whole=None):
 
 
 def _label(text):
-    """Parse a theta label: either 'a,b,...' or 'c(a,b,...)'."""
+    """Parse a theta label: either 'a,b,...' or 'c(a,b,...)', c = 1 when
+    left out; any other parenthesis is a BadParams error."""
     if "(" in text:
         scale, rest = text.split("(", 1)
         scale = _int(scale, text) if scale.strip() else 1
         label = tuple(scale * x for x in _ints(rest.rstrip(")"), text))
         if not rest.endswith(")"):
             raise BadParams("label %r lacks its closing parenthesis" % text)
-        return label
-    return _ints(text)
+        rest = rest[:-1]
+    else:
+        label, rest = _ints(text), text
+    if "(" in rest or ")" in rest:
+        raise BadParams("label %r has a stray parenthesis" % text)
+    return label
 
 
 def cmd_seed_mutate(args):

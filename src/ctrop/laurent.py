@@ -32,13 +32,13 @@ def _grlex_key(e):
 def _summed(terms, dim, out=None):
     """The sum of the (int-tuple exponent, nonzero coefficient) terms, added
     up in the one dict `out` (a new one by default) that the result keeps;
-    a coefficient that cancels to 0 is dropped."""
+    a sum that cancels to 0 is dropped, a Fraction sum is made `exact`."""
     if out is None:
         out = {}
     for e, c in terms:
         s = out.get(e, 0) + c
         if s:
-            out[e] = s
+            out[e] = s if type(s) is int else exact(s)
         else:
             out.pop(e, None)
     return LaurentPolynomial._of(out, dim)
@@ -101,10 +101,8 @@ class LaurentPolynomial:
                        dict(self.coeffs))
 
     def scale(self, c):
-        if not c:
-            return LaurentPolynomial.zero(self.dim)
-        return LaurentPolynomial._of(
-            {e: c * v for e, v in self.coeffs.items()}, self.dim)
+        return _summed(((e, c * v) for e, v in self.coeffs.items()),
+                       self.dim)
 
     def __mul__(self, other):
         return _summed(((tuple(map(add, e1, e2)), c1 * c2)

@@ -2,7 +2,8 @@
 orders used by the cluster valuations.
 
 Vectors are plain tuples of ints or Fractions.  Matrices are immutable
-row-tuples wrapped in a small class with exact kernel/rank/solve.  No
+row-tuples wrapped in a small class with exact kernel/rank/solve; the
+entries of rref, solve and inverse follow the rule of `exact`.  No
 floating point is used anywhere.
 """
 
@@ -23,8 +24,15 @@ INCOMPARABLE = "Incomparable"
 def exact(c):
     """The rational c as an int when it is integral, else as a Fraction:
     the one rule for the type of an exact coefficient."""
+    if type(c) is int:
+        return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _divided(row, last):
+    """x / last for each x of an integer row, by the rule of `exact`."""
+    return [x // last if x % last == 0 else Fraction(x, last) for x in row]
 
 
 def vec(entries):
@@ -86,7 +94,8 @@ class Mat:
     echelon form and last the last pivot; its right block E is an
     invertible integer matrix with E A = last * R, so the rows of E past
     the rank annihilate the column space.  rref fills the slot; rank,
-    kernel and det read the left block, solve and inverse read E.
+    kernel and det read the left block, solve and inverse read E.  Mat(rows)
+    checks its rows, `_of` trusts them.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "_form")
@@ -95,10 +104,19 @@ class Mat:
         self.rows = tuple(vec(r) for r in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ValueError("ragged matrix")
         self._form = None
+
+    @classmethod
+    def _of(cls, rows):
+        """The arithmetic's constructor: keeps the tuple `rows` as it is."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        m._form = None
+        return m
 
     @staticmethod
     def identity(n):
@@ -117,7 +135,7 @@ class Mat:
         return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self):
-        return Mat([self.col(j) for j in range(self.ncols)])
+        return Mat._of(tuple(zip(*self.rows)))
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
@@ -157,7 +175,7 @@ class Mat:
         if self._form is None:
             self._form = self._eliminate()
         left, _, pivots, last, _ = self._form
-        return [[Fraction(x, last) for x in r] for r in left], list(pivots)
+        return [_divided(r, last) for r in left], list(pivots)
 
     def _eliminate(self):
         """Fraction-free Gauss-Jordan elimination of [S A | S]: (left
@@ -248,9 +266,9 @@ class Mat:
         if any(y[len(pivots):]):
             return None
         # R x = E b / last, with the free variables at 0
-        x = [Fraction(0)] * self.ncols
-        for pc, yi in zip(pivots, y):
-            x[pc] = Fraction(yi, last)
+        x = [0] * self.ncols
+        for pc, yi in zip(pivots, _divided(y, last)):
+            x[pc] = yi
         return tuple(x)
 
     def inverse(self):
@@ -259,7 +277,7 @@ class Mat:
         _, E, pivots, last, _ = self._elimination()
         if len(pivots) != self.nrows:
             raise RankError("singular matrix")
-        return Mat([[Fraction(x, last) for x in row] for row in E])
+        return Mat._of(tuple(tuple(_divided(row, last)) for row in E))
 
     def det(self):
         if self.nrows != self.ncols:

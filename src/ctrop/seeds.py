@@ -19,9 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BadParams, FrozenIndex, json_list
-from .linalg import Mat, TotalOrder, integer_scale, vdot, vec
-
-POS = lambda x: x if x > 0 else 0
+from .linalg import Mat, TotalOrder, exact, integer_scale, vdot, vec
 
 
 def _integer_frame(rows, d):
@@ -74,9 +72,10 @@ class FixedData:
                             "epsilon must be integral on unfrozen rows/columns")
 
     def epsilon(self):
-        """eps[i][j] = {e_i, d_j e_j} = skew[i][j] * d_j."""
-        return Mat([[self.skew.rows[i][j] * self.d[j] for j in range(self.n)]
-                    for i in range(self.n)])
+        """eps[i][j] = {e_i, d_j e_j} = skew[i][j] * d_j, each entry by the
+        rule of `exact`, which mutation keeps."""
+        return Mat._of(tuple(tuple(exact(x * dj) for x, dj in zip(r, self.d))
+                             for r in self.skew.rows))
 
     def initial_seed(self):
         return Seed(self, (), Mat.identity(self.n), self.epsilon())
@@ -102,9 +101,10 @@ class Seed:
     up to a canonical monomial isomorphism; the reduced-word model quotients
     by it, which is what every identity in this library expects.)
 
-    A seed is immutable: its integer chart frames and exchange pairings,
-    its p*_1 columns and its refining total order are computed on first
-    use and kept on the seed.
+    A seed is immutable: it shares every row of its basis and exchange
+    matrix that its last mutation left unchanged with its parent, and its
+    integer chart frames and exchange pairings, p*_1 columns and refining
+    total order are computed on first use and kept on the seed.
     """
 
     def __init__(self, fixed, word, basis, eps, parent=None):
@@ -131,22 +131,27 @@ class Seed:
             raise FrozenIndex("cannot mutate frozen index %r" % (k,))
         if self.word and self.word[-1] == k and self.parent is not None:
             return self.parent
-        n = self.fixed.n
-        e = self.eps.rows
-        rows = []
-        for i in range(n):
-            if i == k:
-                rows.append([-x for x in self.basis.rows[k]])
+        # Fomin-Zelevinsky: rows k are negated; for c = eps[i][k] > 0, eps
+        # row i gains c [eps[k][j]]+ and basis row i gains c b_k; for c < 0
+        # eps row i gains c [-eps[k][j]]+; column k is negated; rest shared
+        e, b = self.eps.rows, self.basis.rows
+        ek, bk = e[k], b[k]
+        basis, eps = list(b), list(e)
+        basis[k] = tuple(-x for x in bk)
+        eps[k] = tuple(-x for x in ek)
+        for i, ei in enumerate(e):
+            c = ei[k]
+            if not c:
+                continue
+            if c > 0:
+                basis[i] = tuple(x + c * y for x, y in zip(b[i], bk))
+                row = [x + c * y if y > 0 else x for x, y in zip(ei, ek)]
             else:
-                c = POS(e[i][k])
-                rows.append([a + c * b for a, b in
-                             zip(self.basis.rows[i], self.basis.rows[k])])
-        # matrix mutation in closed form (Fomin-Zelevinsky)
-        eps = [[-e[i][j] if k in (i, j)
-                else e[i][j] + POS(e[i][k]) * e[k][j] + e[i][k] * POS(-e[k][j])
-                for j in range(n)] for i in range(n)]
-        return Seed(self.fixed, self.word + (k,), Mat(rows), Mat(eps),
-                    parent=self)
+                row = [x - c * y if y < 0 else x for x, y in zip(ei, ek)]
+            row[k] = -c
+            eps[i] = tuple(row)
+        return Seed(self.fixed, self.word + (k,), Mat._of(tuple(basis)),
+                    Mat._of(tuple(eps)), parent=self)
 
     def v_initial(self, k):
         """v_{k;s} = {e_{k;s}, .} in initial M°-coordinates (f-basis)."""
@@ -319,9 +324,10 @@ def seed_from_json(data):
     """Seed from its JSON form; missing or malformed fields are BadParams
     errors."""
     try:
+        n = data["n"]
+        unfrozen = json_list(data["unfrozen"], 'seed "unfrozen"')
         fd = FixedData(
-            data["n"],
-            json_list(data["unfrozen"], 'seed "unfrozen"'),
+            n, unfrozen,
             Mat([[Fraction(x) for x in json_list(row, 'a "lambda" row')]
                  for row in json_list(data["lambda"], 'seed "lambda"')]),
             json_list(data["d"], 'seed "d"'),
@@ -331,6 +337,7 @@ def seed_from_json(data):
         raise BadParams("seed JSON is missing %s" % (exc,))
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise BadParams("malformed seed JSON: %s" % (exc,))
-    if any(type(k) is not int for k in word):
-        raise BadParams("seed word %r must hold integers" % (list(word),))
+    if any(type(k) is not int for k in [n, *unfrozen, *word]):
+        raise BadParams('seed "n", "unfrozen" and "word" must hold integers, '
+                        'not %r, %r and %r' % (n, unfrozen, list(word)))
     return fd.seed(word)

@@ -73,9 +73,11 @@ def test_seed_mutate_missing_unfrozen_is_domain_error(tmp_path, capsys):
     ({"word": "0"}, 0),
     ({"word": [1.0]}, 0),
     ({"d": "11"}, 0),
+    ({"n": True, "unfrozen": [0], "lambda": [["0"]], "d": [1]}, 0),
+    ({"unfrozen": [0, 1.0]}, 0),
 ], ids=["short_d", "unfrozen_out_of_range", "non_integral_d",
         "lambda_rows_as_strings", "word_as_string", "word_of_floats",
-        "d_as_string"])
+        "d_as_string", "n_as_bool", "unfrozen_of_floats"])
 def test_seed_mutate_inconsistent_fixed_data_is_domain_error(tmp_path, capsys,
                                                              fields, k):
     seed = {"n": 2, "unfrozen": [0, 1],
@@ -132,10 +134,19 @@ def test_scatter_theta_label_of_wrong_length_is_domain_error(capsys):
     ("scatter", "alpha", "--fixture", "a2", "--p=-1,0", "--q=1,0",
      "--r=1,y"),
     ("gr", "val", "--k", "2", "--n", "5", "--J=1,a"),
+    ("scatter", "theta", "--fixture", "a2", "--label=2(1,(0)"),
+    ("scatter", "theta", "--fixture", "a2", "--label=1,0)"),
 ], ids=["label", "scaled_label", "label_scale", "unclosed_label", "alpha_r",
-        "gr_J"])
+        "gr_J", "stray_open_paren_label", "stray_close_paren_label"])
 def test_malformed_integer_option_is_domain_error(capsys, argv):
     assert _bad_params(capsys, *argv)
+
+
+def test_label_scale_defaults_to_one(capsys):
+    # an empty scale before the parenthesis is 1
+    outs = [run_cli(capsys, "scatter", "theta", "--fixture", "a2",
+                    "--label=" + label) for label in ("(1,0)", "1,0")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def _transport_poly(tmp_path, capsys, terms):

@@ -222,3 +222,20 @@ def test_coefficients_are_int_or_fraction(recorded):
     assert not integral, integral
     # every recorded function was reached
     assert {f for f, _, _ in recorded} == {attr for _, attr in _RECORDED}
+
+
+def test_rational_coefficients_multiply_into_ints():
+    # two rationals whose product is integral store an int, in the
+    # arithmetic and in a chart step, where 1/2 meets the binomial
+    # coefficient 2 of (1 + z^b)^2
+    half = LaurentPolynomial({(0,): Fraction(1, 2)}, 1)
+    assert (half * LaurentPolynomial({(0,): 2}, 1)).coeffs == {(0,): 1}
+    assert type((half * half.scale(4)).coeffs[(0,)]) is int
+    assert type(half.scale(Fraction(2)).coeffs[(0,)]) is int
+    fd = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 1))
+    s0 = fd.initial_seed()
+    f = LaurentPolynomial({(2, 0): Fraction(1, 2)}, 2)
+    g = laurent.transport(f, s0.mutate(0), s0, "A")
+    assert g.coeffs == {(-2, 0): Fraction(1, 2), (-2, 1): 1,
+                        (-2, 2): Fraction(1, 2)}
+    assert [type(c) for _, c in g.terms()] == [Fraction, int, Fraction]

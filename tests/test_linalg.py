@@ -5,7 +5,8 @@ import pytest
 
 from ctrop.errors import EmptyInput, RankError
 from ctrop.linalg import (EQUAL, GREATER, INCOMPARABLE, LESS, Mat, TotalOrder,
-                          dominance_compare, is_zero, vec, vneg, vsub, vdot)
+                          dominance_compare, exact, is_zero, vec, vneg, vsub,
+                          vdot)
 
 A2_COLS = Mat.from_cols([(0, 1), (-1, 0)])  # p*_1 columns for type A2
 
@@ -324,6 +325,45 @@ def test_fraction_free_elimination_matches_fraction_reference():
         shapes.add((len(rows) > n, len(rows) < n, len(want_pivots)
                     < min(len(rows), n), len(rows) == 0))
     assert len(shapes) >= 5
+
+
+def _exact_entries(rows):
+    """(type, value) per entry, with no integral Fraction allowed."""
+    out = [[(type(x), x) for x in r] for r in rows]
+    assert not any(t is Fraction and x.denominator == 1
+                   for r in out for t, x in r), rows
+    return out
+
+
+def test_rref_solve_inverse_are_exact_valued():
+    # every entry of rref, solve and inverse is the Fraction reference's
+    # value as an int when integral, else as a Fraction
+    rng = random.Random(71)
+    for _ in range(600):
+        rows, n = _random_rational_matrix(rng)
+        want_rows, want_pivots, _ = _fraction_gauss_jordan(rows, n)
+        exact_rows = [[exact(x) for x in r] for r in want_rows]
+        m = Mat(rows)
+        got_rows, got_pivots = m.rref()
+        assert _exact_entries(got_rows) == _exact_entries(exact_rows)
+        # b = A x for a rational x: the reference solution is R's pivot
+        # rows read off [A | b], free variables at 0
+        x = [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+             for _ in range(n)]
+        b = [sum((a * y for a, y in zip(r, x)), Fraction(0)) for r in rows]
+        aug, _, _ = _fraction_gauss_jordan([r + [v] for r, v in
+                                            zip(rows, b)], n)
+        want_x = [0] * m.ncols       # a Mat with no rows has no columns
+        for r, pc in zip(aug, want_pivots):
+            want_x[pc] = exact(r[n])
+        assert _exact_entries([m.solve(b)]) == _exact_entries([want_x])
+        if len(rows) == n and len(want_pivots) == n:
+            aug, _, _ = _fraction_gauss_jordan(
+                [r + [int(i == j) for j in range(n)]
+                 for i, r in enumerate(rows)], n)
+            want_inv = [[exact(x) for x in r[n:]] for r in aug]
+            assert _exact_entries(m.inverse().rows) == \
+                _exact_entries(want_inv)
 
 
 def test_solve_reads_the_rank_from_its_own_elimination(monkeypatch):

@@ -133,6 +133,51 @@ def test_matrix_mutation_matches_eps_read_from_basis():
                         bl.rows[k][j] * fd.d[j] for j in range(fd.n))
 
 
+def _dense_mutate(basis, eps, k):
+    """Reference: the dense closed-form mutation that rebuilt every entry,
+    on row tuples: basis row i gains [eps[i][k]]+ times row k, and eps
+    follows the matrix mutation rule entry by entry."""
+    pos = lambda x: x if x > 0 else 0
+    n = len(eps)
+    new_basis = tuple(
+        tuple(-x for x in basis[k]) if i == k else
+        tuple(a + pos(eps[i][k]) * b for a, b in zip(basis[i], basis[k]))
+        for i in range(n))
+    new_eps = tuple(tuple(
+        -eps[i][j] if k in (i, j) else
+        eps[i][j] + pos(eps[i][k]) * eps[k][j] + eps[i][k] * pos(-eps[k][j])
+        for j in range(n)) for i in range(n))
+    return new_basis, new_eps
+
+
+def _typed(rows):
+    return [[(type(x), x) for x in r] for r in rows]
+
+
+def test_sparse_mutation_matches_dense_reference():
+    # the seed reuses every row mutation leaves alone; along random words
+    # with no repeated letter its rows equal the dense rebuild, entry by
+    # entry and type by type, also with rational frozen entries of lambda
+    rational = seed_from_json({
+        "n": 4, "unfrozen": [0, 1], "d": [1, 2, 2, 4], "word": [],
+        "lambda": [["0", "1", "1", "-2"], ["-1", "0", "1/2", "1/2"],
+                   ["-1", "-1/2", "0", "1/3"], ["2", "-1/2", "-1/3", "0"]],
+    }).fixed
+    rng = random.Random(43)
+    for fd in list(_oracle_cases()) + [rational]:
+        ks = sorted(fd.unfrozen)
+        for _ in range(4):
+            s = fd.initial_seed()
+            basis, eps = s.basis.rows, s.eps.rows
+            for _ in range(rng.randint(1, 10)):
+                k = rng.choice([k for k in ks
+                                if not s.word or k != s.word[-1]])
+                s = s.mutate(k)
+                basis, eps = _dense_mutate(basis, eps, k)
+                assert _typed(s.basis.rows) == _typed(basis)
+                assert _typed(s.eps.rows) == _typed(eps)
+
+
 def test_build_principal_trivial():
     fd = FixedData(1, set(), Mat([[0]]), (1,))
     fdp = build_principal(fd)
