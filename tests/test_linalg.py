@@ -345,6 +345,7 @@ def test_rref_solve_inverse_are_exact_valued():
         exact_rows = [[exact(x) for x in r] for r in want_rows]
         m = Mat(rows)
         got_rows, got_pivots = m.rref()
+        assert got_pivots == want_pivots
         assert _exact_entries(got_rows) == _exact_entries(exact_rows)
         # b = A x for a rational x: the reference solution is R's pivot
         # rows read off [A | b], free variables at 0
