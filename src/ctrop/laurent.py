@@ -156,7 +156,10 @@ class LaurentPolynomial:
             if sum(t_exp) < floor or any(x < f for x, f in
                                          zip(t_exp, coord_floor)):
                 raise NotLaurent("not divisible in the Laurent ring")
-            t = q[t_exp] = exact(Fraction(rem[le_r], lc_g))
+            c = rem[le_r]
+            # an even division of ints needs no Fraction
+            t = q[t_exp] = (c // lc_g if type(c) is type(lc_g) is int
+                            and c % lc_g == 0 else exact(Fraction(c, lc_g)))
             _summed(((tuple(map(add, e, t_exp)), -t * c)
                      for e, c in other.coeffs.items()), self.dim, rem)
         return LaurentPolynomial._of(q, self.dim)

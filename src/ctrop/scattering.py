@@ -349,11 +349,15 @@ def path_ordered_product(chambers, dia):
 
 def _generic_loop_dirs(dia):
     """A closed CCW loop of four generic directions, one per open quadrant
-    of the 2d shadow, none on a wall's hyperplane."""
+    of the 2d shadow, none on a wall's hyperplane.  The candidate
+    (qx (t+1), qy t) lies on the line a x + b y = 0 for at most one t,
+    with |t| <= |a|, unless (a, b) = 0: so some t <= 1 + max |a| is
+    generic, and only a wall with a zero shadow normal leaves none."""
     phis = [dia.proj(w.phi) for w in dia.walls]
+    top = 2 + max((abs(a) for a, _ in phis), default=0)
 
     def pick(qx, qy):
-        for t in range(1, 400):
+        for t in range(1, top):
             cand = (qx * (t + 1), qy * t)
             if all(vdot(phi, cand) != 0 for phi in phis):
                 return cand
@@ -523,23 +527,18 @@ def _segment_crossings(dia, x, v):
 
 
 def _offset_candidates(dia, bound):
-    """All offsets sum j_w g_w with total degree <= bound, with degrees."""
-    items = [(w.g, w.deg, w.max_k()) for w in dia.walls]
+    """The offsets G c over the generator columns of the diagram, c >= 0
+    integral with total degree sum c_i deg_i <= bound, with their degrees.
+    Each wall direction lies there at its own degree, so these hold every
+    sum of wall directions within the bound: every start of a broken line
+    whose bends stay within it."""
+    G, degs = dia._generators()
     offs = {(0,) * dia.dim: 0}
-    for g, deg, kmax in items:
-        if kmax == 0:
-            continue
-        cur = dict(offs)
-        jmax = bound // deg
-        for off, d0 in offs.items():
-            for j in range(1, jmax + 1):
-                d = d0 + j * deg
-                if d > bound:
-                    break
-                e = tuple(a + j * b for a, b in zip(off, g))
-                if e not in cur or cur[e] > d:
-                    cur[e] = d
-        offs = cur
+    for g, deg in zip(G.cols(), degs):
+        for off, d0 in list(offs.items()):
+            for j in range(1, (bound - d0) // deg + 1):
+                offs.setdefault(tuple(a + j * b for a, b in zip(off, g)),
+                                d0 + j * deg)
     return offs
 
 
@@ -558,14 +557,13 @@ def _label(dia, m):
     return _sized(dia, m, "label %r" % (m,))
 
 
-def _walk(dia, m, x, v, later, bends, results):
+def _walk(dia, m, x, v, later, results):
     """Follow broken lines with initial exponent m backwards from the point
     x = (X, D, H) of _segment_crossings, against the exponent v, and append
     the segments of each one that reaches its initial ray to results.
     `later` holds (exponent, wall, bend point, factor) for the segments
-    after the current one, in reverse path order; `bends` keeps the
-    bending terms per (wall index, power, kmax) for one enumeration.  A
-    module-level function, so no call leaves a reference cycle behind."""
+    after the current one, in reverse path order.  A module-level
+    function, so no call leaves a reference cycle behind."""
     rem = dia.offset_depth(tuple(a - b for a, b in zip(v, m)))
     if rem is None:
         return
@@ -578,15 +576,12 @@ def _walk(dia, m, x, v, later, bends, results):
         w = dia.walls[i]
         if dia.on_wall(y[0], y[2]) != [i]:
             raise NonGenericEndpoint("bend point on several walls")
-        key = (i, abs(vdot(w.phi, v)), rem // w.deg)
-        terms = bends.get(key)
-        if terms is None:
-            # the terms j >= 1; a_0 = 1 comes first
-            terms = bends[key] = sorted(w.power_terms(*key[1:]).items())[1:]
         pt = tuple(Fraction(a, y[1]) for a in y[0])
-        for j, c in terms:
-            prev = tuple(a - j * b for a, b in zip(v, w.g))
-            _walk(dia, m, y, prev, later + [(v, i, pt, c)], bends, results)
+        # a bend takes a term j >= 1 of f^power
+        for j, c in w.power_terms(abs(vdot(w.phi, v)), rem // w.deg).items():
+            if j:
+                prev = tuple(a - j * b for a, b in zip(v, w.g))
+                _walk(dia, m, y, prev, later + [(v, i, pt, c)], results)
 
 
 def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
@@ -607,13 +602,11 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
     den, X = integer_scale(x0)
     start = (X, den, tuple(int(a * den) for a in h0))
     results = []
-    # (wall index, power, kmax) -> the terms (j, a_j), j >= 1, of f^power
-    bends = {}
     for off, d in sorted(_offset_candidates(dia, bound).items()):
         v0 = tuple(a + b for a, b in zip(m, off))
         if not any(v0):
             continue
-        _walk(dia, m, start, v0, [], bends, results)
+        _walk(dia, m, start, v0, [], results)
 
     lines = []
     hit_bound = False

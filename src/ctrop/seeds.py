@@ -22,19 +22,6 @@ from .errors import BadParams, FrozenIndex, json_list
 from .linalg import Mat, TotalOrder, exact, integer_scale, vdot, vec
 
 
-def _integer_frame(rows, d):
-    """(den, ints): the rational matrix D rows D^-1, D = diag(d), as the
-    integer rows ints over the least common denominator den."""
-    n = len(d)
-    den, flat = integer_scale([x for r in rows for x in r])
-    big = lcm(*d)
-    ints = [x * d[i] * (big // d[j])
-            for i in range(n) for j, x in enumerate(flat[i * n:(i + 1) * n])]
-    g = gcd(den * big, *ints)
-    return den * big // g, tuple(tuple(x // g for x in ints[i * n:(i + 1) * n])
-                                 for i in range(n))
-
-
 class FixedData:
     """Index set with frozen/unfrozen split, skew form and multipliers."""
 
@@ -45,6 +32,9 @@ class FixedData:
         self.d = tuple(int(x) for x in d)
         if any(Fraction(x) != y for x, y in zip(d, self.d)):
             raise BadParams("multipliers must be integers")
+        self._eps = Mat._of(tuple(tuple(exact(x * dj)
+                                        for x, dj in zip(r, self.d))
+                                  for r in self.skew.rows))
         self._validate()
 
     def _validate(self):
@@ -73,9 +63,9 @@ class FixedData:
 
     def epsilon(self):
         """eps[i][j] = {e_i, d_j e_j} = skew[i][j] * d_j, each entry by the
-        rule of `exact`, which mutation keeps."""
-        return Mat._of(tuple(tuple(exact(x * dj) for x, dj in zip(r, self.d))
-                             for r in self.skew.rows))
+        rule of `exact`, which mutation keeps; built once with the fixed
+        data, which never changes."""
+        return self._eps
 
     def initial_seed(self):
         return Seed(self, (), Mat.identity(self.n), self.epsilon())
@@ -171,17 +161,24 @@ class Seed:
 
         For A (M°, frame f_{i;s} = e_{i;s}^*/d_i) they are f^T = D B^-1 D^-1
         and (f^-1)^T = D B D^-1, the second read from the basis B itself;
-        for X (N, frame e_{i;s}) they are B^T and (B^-1)^T."""
+        for X (N, frame e_{i;s}) they are B^T and (B^-1)^T.  B is an integer
+        matrix of determinant +-1 (mutation adds integer multiples eps[i][k],
+        k unfrozen, of its rows), so B^-1 is integral too: the X frames
+        have den 1, and the A frames den L = lcm(d) and rows
+        d_i x_ij (L / d_j)."""
         fr = self._frames.get(flavor)
         if fr is None:
             b = self.basis
             if flavor == "A":
-                fr = b.inverse().rows, b.rows
                 d = self.fixed.d
+                big = lcm(*d)
+                fr = tuple((big, tuple(tuple(di * x * (big // dj)
+                                             for x, dj in zip(r, d))
+                                       for di, r in zip(d, m.rows)))
+                           for m in (b.inverse(), b))
             else:
-                fr = b.transpose().rows, b.inverse().transpose().rows
-                d = (1,) * self.fixed.n
-            fr = self._frames[flavor] = tuple(_integer_frame(m, d) for m in fr)
+                fr = (1, b.transpose().rows), (1, b.inverse().transpose().rows)
+            self._frames[flavor] = fr
         return fr
 
     def exchange_pairing(self, flavor, k):

@@ -533,22 +533,40 @@ def test_integer_crossings_match_fraction_reference():
                       "NonGenericEndpoint: path through a wall intersection"}
 
 
-def test_power_terms_once_per_wall_power_and_depth(monkeypatch):
-    # one enumeration asks each wall for f^power to a given depth once,
-    # however many bends of its lines need it
-    dia, _ = fixture_diagram("kronecker", 8, False)
-    calls = Counter()
-    real = Wall.power_terms
+def _wall_sum_offsets(dia, bound):
+    """The broken-line start offsets as sums of wall directions, the
+    reference for scattering._offset_candidates: sum j_w g_w over the walls
+    with a nonzero series, total degree sum j_w deg_w <= bound, each offset
+    with its least degree."""
+    offs = {(0,) * dia.dim: 0}
+    for w in dia.walls:
+        if w.max_k() == 0:
+            continue
+        cur = dict(offs)
+        for off, d0 in offs.items():
+            for j in range(1, bound // w.deg + 1):
+                d = d0 + j * w.deg
+                if d > bound:
+                    break
+                e = tuple(a + j * b for a, b in zip(off, w.g))
+                if e not in cur or cur[e] > d:
+                    cur[e] = d
+        offs = cur
+    return offs
 
-    def power_terms(self, power, kmax):
-        calls[(self, power, kmax)] += 1
-        return real(self, power, kmax)
 
-    monkeypatch.setattr(Wall, "power_terms", power_terms)
-    lines, exact = enumerate_broken_lines(
-        dia, (1, -2), (Fraction(3, 2), Fraction(5, 7)), 8)
-    assert exact and len(lines) == 7
-    assert calls and max(calls.values()) == 1
+def test_offsets_on_the_generator_lattice_match_wall_sums():
+    # every wall direction has its degree as its generator depth, so the
+    # generator lattice within the bound holds exactly the wall sums
+    cases = [(fixture_diagram(name, order, principal)[0], order)
+             for name in ("a2", "running-example", "kronecker")
+             for principal in (False, True) for order in (6, 12)]
+    gr36 = gr36_fixture_diagram()[0]
+    cases += [(gr36, bound) for bound in range(9)]
+    for dia, bound in cases:
+        got = scattering._offset_candidates(dia, bound)
+        assert got == _wall_sum_offsets(dia, bound), (dia.fd, bound)
+    assert len(scattering._offset_candidates(gr36, 8)) == 495
 
 
 def _generators(dia):
@@ -736,6 +754,21 @@ def test_completion_corrects_each_degree_once(monkeypatch):
     dia = a2_diagram(10)
     assert orders == list(range(2, 11))
     assert is_consistent(dia)
+
+
+def test_generic_loop_dirs_search_as_far_as_the_walls_need():
+    # line wall t holds the first-quadrant candidate (t + 1, t) and the
+    # third-quadrant one -(t + 1, t), so both quadrants skip t = 1..399
+    walls = [Wall((t, -(t + 1)), (t + 1, t), {1: 1}, (1,), 1, "line")
+             for t in range(1, 400)]
+    dia = ScatteringDiagram(walls, 2, 4, unfrozen=(0, 1))
+    assert scattering._generic_loop_dirs(dia) == [
+        (401, 400), (-2, 1), (-401, -400), (2, -1), (401, 400)]
+    # a wall with a zero shadow normal holds every direction
+    flat = ScatteringDiagram([Wall((0, 0, 1), (1, 0, 0), {1: 1}, (1,), 1,
+                                   "line")], 3, 4, unfrozen=(0, 1))
+    with pytest.raises(SingularPath, match="no generic loop direction"):
+        scattering._generic_loop_dirs(flat)
 
 
 def test_path_side_of_a_half_turn_or_more_is_rejected():
