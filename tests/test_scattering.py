@@ -9,7 +9,7 @@ import pytest
 from ctrop import scattering
 from ctrop.acceptance import fixture_diagram, gr36_fixture_diagram
 from ctrop.errors import (BadParams, NonGenericEndpoint, RankUnsupported,
-                          SingularPath)
+                          SingularPath, Truncated)
 from ctrop.laurent import LaurentPolynomial, is_pointed, transport
 from ctrop.linalg import Mat
 from ctrop.scattering import (ScatteringDiagram, Wall, complete_rank2,
@@ -19,12 +19,14 @@ from ctrop.scattering import (ScatteringDiagram, Wall, complete_rank2,
                               theta_function, theta_on_x, wall_cross)
 from ctrop.seeds import (FixedData, build_principal, ensemble_map,
                          principal_ensemble_map)
+from ctrop.trop import TropicalPoint, trop_mutate
 
 A2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 1))
 RUNNING = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 2))
 KRON = FixedData(2, {0, 1}, Mat([[0, 2], [-2, 0]]), (1, 1))
 B2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (2, 1))
 G2 = FixedData(2, {0, 1}, Mat([[0, 1], [-1, 0]]), (1, 3))
+WILD33 = FixedData(2, {0, 1}, Mat([[0, 3], [-3, 0]]), (1, 1))
 
 
 def a2_diagram(order=10):
@@ -175,8 +177,7 @@ GREEDY_CASES = [
     (B2, (2, 1), 10, 2, []),
     (G2, (1, 3), 12, 2, []),
     (KRON, (2, 2), 12, 3, [(-3, -3)]),
-    (FixedData(2, {0, 1}, Mat([[0, 3], [-3, 0]]), (1, 1)), (3, 3), 10, 2,
-     [(-2, -2)]),
+    (WILD33, (3, 3), 10, 2, [(-2, -2)]),
 ]
 
 
@@ -202,6 +203,109 @@ def test_theta_equals_greedy_element(fd, bc, order, box, truncated):
             # a larger recursion box adds no term
             assert greedy(*a, *bc, box=16) == greedy(*a, *bc), m
     assert cut == truncated
+
+
+def _mutated_data(fd, k):
+    """(s, s', fd'): the initial seed s, its mutation s' at k, and fixed
+    data whose initial seed is s': the skew form B' skew B'^T read in the
+    basis B' of s', with the same multipliers."""
+    s = fd.initial_seed()
+    s1 = s.mutate(k)
+    b = s1.basis
+    fd1 = FixedData(fd.n, fd.unfrozen, b * fd.skew * b.transpose(), fd.d)
+    assert fd1.epsilon() == s1.eps
+    return s, s1, fd1
+
+
+def _label_map(s, s1, k, flavor="X", conv="T"):
+    """The theta label map T from s to s' = s.mutate(k): the tropical
+    mutation of the label, then rewritten from initial coordinates into
+    the own coordinates of s' through its A frame."""
+    den, rows = s1.frames("A")[1]
+
+    def T(m):
+        x = trop_mutate(TropicalPoint((), m, conv), k, s, flavor).coords
+        own = [Fraction(sum(a * b for a, b in zip(r, x)), den) for r in rows]
+        assert all(c.denominator == 1 for c in own), (m, own)
+        return tuple(c.numerator for c in own)
+
+    return T
+
+
+def _alpha(dia, t):
+    try:
+        return structure_constant(dia, *t)
+    except Truncated:
+        return None
+
+
+# (fixed data, order, label box, then per mutable k the theta labels and
+# the indices of the triples that hit the order on either seed); (-1, -1)
+# lies outside the cluster complex of the Kronecker and (3, 3) data
+SEED_CASES = [
+    (A2, 6, 2, [[(-2, -2)], []], [[(-2, -2), (-2, 2)], []]),
+    (B2, 6, 2, [[(-2, -2), (-1, -2), (0, -2)], []],
+     [[(-2, -2), (-2, -1), (-2, 2), (-1, -2), (0, -2)], []]),
+    (G2, 6, 2, [[(-2, -2)], []],
+     [[(-2, -2), (-2, -1), (-2, 0), (-2, 1), (-2, 2), (-1, -2), (-1, -1),
+       (-1, 2), (0, -2)], [4]]),
+    (KRON, 8, 1, [[], []], [[(-1, -1)], [4]]),
+    (WILD33, 8, 1, [[], []], [[(-1, -1), (0, -1)], [4]]),
+]
+
+# (p, q) pairs for the structure constants; r runs over p + q plus 0, g1,
+# g2 and g1 + g2, the p*_1 images of the mutable basis vectors
+SEED_PAIRS = [((-1, 0), (1, 0)), ((-1, -1), (1, 1)), ((-1, -1), (-1, 0))]
+
+
+@pytest.mark.parametrize("fd, order, box, cut0, cut1", SEED_CASES,
+                         ids=["A2", "B2", "G2", "kronecker", "wild33"])
+def test_theta_and_alpha_independent_of_seed(fd, order, box, cut0, cut1):
+    """Theta functions and structure constants do not depend on the seed
+    (GHKK 2018): the diagram built at s' = s.mutate(k) has the theta
+    function theta'_T(m) = transport(theta_m, s, s'), and alpha'(Tp, Tq,
+    Tr) = alpha(p, q, r), where T is the X-flavor tropical mutation in
+    the T convention, read in the own coordinates of s'.  Labels that hit
+    the order on either seed are listed and not compared."""
+    dia = complete_rank2(initial_diagram(fd, ensemble_map(fd), order))
+    thetas = {m: theta_function(dia, m)
+              for m in product(range(-box, box + 1), repeat=2) if any(m)}
+    g1, g2 = fd.epsilon().rows
+    triples = [(p, q, tuple(a + b + i * c + j * d
+                            for a, b, c, d in zip(p, q, g1, g2)))
+               for p, q in SEED_PAIRS for i, j in product((0, 1), repeat=2)]
+    alphas = [_alpha(dia, t) for t in triples]
+    assert 4 <= sum(map(bool, alphas)) < len(alphas)
+    for k, (cut_theta, cut_alpha) in enumerate((cut0, cut1)):
+        s, s1, fd1 = _mutated_data(fd, k)
+        dia1 = complete_rank2(initial_diagram(fd1, ensemble_map(fd1), order))
+        T = _label_map(s, s1, k)
+        cut = []
+        for m, (theta, exact) in thetas.items():
+            theta1, exact1 = theta_function(dia1, T(m))
+            if not (exact and exact1):
+                cut.append(m)
+                continue
+            assert transport(theta, s, s1, "A") == theta1, (k, m)
+        assert cut == cut_theta
+        cut = []
+        for i, (t, alpha) in enumerate(zip(triples, alphas)):
+            alpha1 = _alpha(dia1, tuple(map(T, t)))
+            if alpha is None or alpha1 is None:
+                cut.append(i)
+                continue
+            assert alpha1 == alpha, (k, t)
+        assert cut == cut_alpha
+    if fd is A2:
+        # the convention is pinned: each other flavor and convention
+        # pair maps some label to another theta function
+        s, s1, fd1 = _mutated_data(fd, 0)
+        dia1 = complete_rank2(initial_diagram(fd1, ensemble_map(fd1), order))
+        for flavor, conv in (("A", "T"), ("A", "t"), ("X", "t")):
+            T = _label_map(s, s1, 0, flavor, conv)
+            assert any(transport(theta, s, s1, "A")
+                       != theta_function(dia1, T(m))[0]
+                       for m, (theta, _) in thetas.items()), (flavor, conv)
 
 
 def test_theta_on_x_running_example():
