@@ -62,7 +62,7 @@ def gr36_fixture_diagram(only_wall=None):
             continue
         g = [0] * len(faces)
         g[faces.index(w["exponent_face"])] = 1
-        walls.append(Wall(w["normal"], g, {1: 1}, (1,), 1, "line"))
+        walls.append(Wall(w["normal"], g, {1: 1}, (1,), 1, ()))
     return ScatteringDiagram(walls, len(faces), 8), fx
 
 
@@ -152,7 +152,7 @@ def criterion_4():
     """Rank-2 scattering: A2 one-ray completion, loop identity to order 10;
     running example consistent at order 12; Kronecker at truncations <= 8."""
     dia_a2, _ = fixture_diagram("a2", 10)
-    rays = [w for w in dia_a2.walls if w.kind == "ray"]
+    rays = [w for w in dia_a2.walls if w.faces]
     g_sum = tuple(a + b for a, b in zip(
         dia_a2.fd.epsilon().rows[0], dia_a2.fd.epsilon().rows[1]))
     a2_ok = (len(rays) == 1 and rays[0].n0 == (1, 1)

@@ -5,9 +5,9 @@ structure constants.
 Geometry conventions.  A diagram lives in the exponent space of its fixed
 data (M°-coordinates); wall normals are stored as integer functionals (the
 primitive N°-normal expressed against the coordinate basis), so crossing
-powers are plain dot products.  With one or two mutable directions every
-wall support is the preimage of a line or ray under projection to the
-mutable coordinates, which keeps all incidence tests exact.
+powers are plain dot products.  A wall's support is the cone {phi·x = 0,
+psi·x >= 0 for each integer face psi}, so every incidence test is exact:
+an initial wall has no face, a ray of the rank-2 completion has one.
 
 Coefficients follow the Laurent kernel's rule, linalg.exact: wall series,
 broken-line coefficients, theta functions and structure constants are ints
@@ -34,24 +34,25 @@ _ATTEMPTS = 32
 
 
 class Wall:
-    """Cone support inside a hyperplane with a truncated wall series.
+    """Cone support {x : phi·x = 0, psi·x >= 0 for each face psi} with a
+    truncated wall series.
 
     phi      integer functional (primitive N°-normal) on exponent coords
     g        exponent direction p*_1(n0)
     series   {k: c_k} for f = 1 + sum c_k z^(k g)
     n0       coefficients of the N-primitive normal on the mutable indices
     deg      N_uf^+-degree of z^g
-    kind     "line" (full hyperplane) or "ray" (outgoing half, rank 2)
+    faces    integer functionals psi; () for the full hyperplane
     """
 
-    def __init__(self, phi, g, series, n0, deg, kind):
+    def __init__(self, phi, g, series, n0, deg, faces):
         self.phi = tuple(int(x) for x in phi)
         self.g = tuple(int(x) for x in g)
         self.series = {int(k): c for k, c in
                        ((k, exact(c)) for k, c in series.items()) if c}
         self.n0 = tuple(int(x) for x in n0)
         self.deg = int(deg)
-        self.kind = kind
+        self.faces = tuple(tuple(int(x) for x in f) for f in faces)
         if vdot(self.phi, self.g) != 0:
             raise BadParams("wall function must be constant on the wall")
 
@@ -82,20 +83,20 @@ class Wall:
             "direction": list(self.g),
             "series": [str(self.series.get(k, 0))
                        for k in range(1, kmax + 1)],
-            "kind": self.kind,
+            "kind": "ray" if self.faces else "line",
         }
 
     def __repr__(self):
-        return "Wall(n0=%r, kind=%s, series=%r)" % (self.n0, self.kind,
-                                                    dict(sorted(self.series.items())))
+        return "Wall(n0=%r, faces=%r, series=%r)" % (
+            self.n0, self.faces, dict(sorted(self.series.items())))
 
 
 class ScatteringDiagram:
     """Finitely many walls plus a truncation order.
 
     For cluster diagrams built from fixed data the mutable coordinate
-    indices give an exact two-dimensional shadow in which ray supports and
-    chamber geometry are decided.
+    indices give an exact two-dimensional shadow in which the loop paths
+    of consistency and completion run.
     """
 
     def __init__(self, walls, dim, order, unfrozen=None, fd=None):
@@ -105,7 +106,6 @@ class ScatteringDiagram:
         self.unfrozen = tuple(unfrozen) if unfrozen is not None else None
         self.fd = fd
         self._offset_cache = {}
-        self._ray_dirs = {}
         self._depth = None
 
     def at_order(self, order):
@@ -121,22 +121,13 @@ class ScatteringDiagram:
     def proj(self, x):
         return tuple(x[i] for i in self.unfrozen)
 
-    def ray_dir(self, wall):
-        """Outgoing (integer) direction of a ray wall in the 2d shadow,
-        kept per wall after first use."""
-        u = self._ray_dirs.get(wall)
-        if u is None:
-            u = self._ray_dirs[wall] = tuple(-x for x in self.proj(wall.g))
-        return u
-
     def on_wall(self, x, h):
         """Indices of walls whose support contains the point x, where h[i]
         is the value of wall i's functional at x.  The answer is the same
         for (c x, c h) with c > 0, so an integer point over a denominator
         may pass its numerators."""
         return [i for i, w in enumerate(self.walls)
-                if h[i] == 0 and (w.kind == "line"
-                                  or _on_ray(self.proj(x), self.ray_dir(w)))]
+                if h[i] == 0 and all(vdot(f, x) >= 0 for f in w.faces)]
 
     def _generators(self):
         """(G, degrees): the matrix whose columns are the exponent
@@ -192,14 +183,9 @@ class ScatteringDiagram:
         return d
 
     def to_json(self):
-        walls = sorted(self.walls, key=lambda w: (w.n0, w.kind))
+        # at equal n0 a line (no faces) sorts first, as its JSON kind does
+        walls = sorted(self.walls, key=lambda w: (w.n0, bool(w.faces)))
         return {"order": self.order, "walls": [w.to_json() for w in walls]}
-
-
-def _on_ray(y, u):
-    """Is the 2d point y on the closed ray through u (u != 0)?"""
-    cross = y[0] * u[1] - y[1] * u[0]
-    return cross == 0 and y[0] * u[0] + y[1] * u[1] >= 0
 
 
 def _mutable(dia):
@@ -227,7 +213,7 @@ def initial_diagram(fd, p, order):
         phi[k] = 1
         g = [int(x) for x in eps.rows[k]]
         n0 = tuple(1 if j == k else 0 for j in ks)
-        walls.append(Wall(phi, g, {1: 1}, n0, 1, "line"))
+        walls.append(Wall(phi, g, {1: 1}, n0, 1, ()))
     return ScatteringDiagram(walls, fd.n, order, unfrozen=ks, fd=fd)
 
 
@@ -237,7 +223,10 @@ def _primitive_pair(a, b):
 
 
 def _ray_wall(dia, a, b, series):
-    """Wall on the ray with N-primitive normal a e_k1 + b e_k2."""
+    """Wall on the ray with N-primitive normal a e_k1 + b e_k2.  Its face
+    is the outgoing shadow direction -proj(g) on the mutable coordinates,
+    where phi lives too: as proj(g) != 0, the shadow of a point of phi = 0
+    is a multiple of it."""
     fd = dia.fd
     ks = dia.unfrozen
     d1, d2 = fd.d[ks[0]], fd.d[ks[1]]
@@ -248,7 +237,8 @@ def _ray_wall(dia, a, b, series):
     eps = fd.epsilon()
     g = [int(a * eps.rows[ks[0]][j] + b * eps.rows[ks[1]][j])
          for j in range(fd.n)]
-    return Wall(phi, g, series, (a, b), a + b, "ray")
+    face = [-x if j in ks else 0 for j, x in enumerate(g)]
+    return Wall(phi, g, series, (a, b), a + b, (face,))
 
 
 # -- wall crossing and path-ordered products --------------------------------
@@ -414,7 +404,7 @@ def complete_rank2(dia):
         raise BadParams("completion needs a cluster diagram")
     if len(dia.unfrozen) > 2:
         raise RankUnsupported("completion implemented for <= 2 mutable directions")
-    walls = [Wall(w.phi, w.g, w.series, w.n0, w.deg, w.kind)
+    walls = [Wall(w.phi, w.g, w.series, w.n0, w.deg, w.faces)
              for w in dia.walls]
     out = ScatteringDiagram(walls, dia.dim, dia.order, dia.unfrozen, dia.fd)
     if len(out.unfrozen) <= 1:
@@ -439,7 +429,7 @@ def complete_rank2(dia):
                 idx = ray_index[(a, b)] = len(out.walls) - 1
             w = out.walls[idx]
             # the loop crosses the ray counterclockwise, along (-u1, u0)
-            u = out.ray_dir(w)
+            u = out.proj(w.faces[0])
             sign = -1 if vdot(out.proj(w.phi), (-u[1], u[0])) > 0 else 1
             w.series[k] = exact(w.series.get(k, 0) + Fraction(
                 -defect[off], sign * vdot(w.phi, base)))
@@ -447,7 +437,7 @@ def complete_rank2(dia):
                 del w.series[k]
     if not is_consistent(out):
         raise BadParams("completed diagram fails the consistency oracle")
-    out.walls.sort(key=lambda w: (w.kind != "line", w.n0))
+    out.walls.sort(key=lambda w: (bool(w.faces), w.n0))
     return out
 
 
@@ -494,9 +484,11 @@ def _segment_crossings(dia, x, v):
     H[i] = phi_i·X, so wall i has the value H[i]/D there.  Wall i is
     crossed at s = -H[i] / (D phi_i·v), which is positive only when H[i]
     and phi_i·v have opposite signs; every other wall is skipped before an
-    s is formed.  Returns the crossings sorted by s as (s, wall index,
-    point there in the same form).  Raises NonGenericEndpoint on joint
-    hits and where two walls are crossed at once."""
+    s is formed, and so is a crossing point off the wall's cone (a face
+    negative there).  Returns the crossings sorted by s as (s, wall index,
+    point there in the same form).  Raises NonGenericEndpoint where a
+    crossing point is on the boundary of its cone (a joint) and where two
+    walls are crossed at once."""
     X, D, H = x
     dens = [vdot(w.phi, v) for w in dia.walls]
     found = []
@@ -505,13 +497,16 @@ def _segment_crossings(dia, x, v):
             continue
         # the crossing point, scaled by D |d| > 0, is |d| X + sh v
         ad, sh = (d, -hi) if d > 0 else (-d, hi)
-        if w.kind == "ray":
-            yp = tuple(ad * X[k] + sh * v[k] for k in dia.unfrozen)
-            if not any(yp):
+        joint = False
+        for f in w.faces:
+            t = ad * vdot(f, X) + sh * vdot(f, v)
+            if t < 0:
+                break
+            joint = joint or t == 0
+        else:
+            if joint:
                 raise NonGenericEndpoint("path through a joint")
-            if not _on_ray(yp, dia.ray_dir(w)):
-                continue
-        found.append((Fraction(hi, -D * d), i, ad, sh))
+            found.append((Fraction(hi, -D * d), i, ad, sh))
     found.sort()
     for (s1, *_), (s2, *_) in zip(found, found[1:]):
         if s1 == s2:

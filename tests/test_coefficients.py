@@ -210,7 +210,7 @@ def test_coefficients_are_int_or_fraction(recorded):
     for _ in _transport_bfs_corpus():
         pass
     # a rational wall series: the corpus above is integral throughout
-    half = Wall((1, 0), (0, 1), {1: Fraction(1, 2)}, (1, 0), 1, "line")
+    half = Wall((1, 0), (0, 1), {1: Fraction(1, 2)}, (1, 0), 1, ())
     scattering.wall_cross((1, (3, 2)), half, 1, 4)
     types = Counter()
     for (_, t, _), count in recorded.items():

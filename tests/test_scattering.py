@@ -41,7 +41,7 @@ def running_prin_diagram(order=12):
 
 
 def test_wall_cross_examples():
-    w = Wall((1, 0), (0, 1), {1: 1}, (1, 0), 1, "line")
+    w = Wall((1, 0), (0, 1), {1: 1}, (1, 0), 1, ())
     # zero pairing: unchanged
     out = wall_cross((1, (0, 3)), w, 1, max_k=3)
     assert out == LaurentPolynomial.monomial((0, 3))
@@ -67,7 +67,7 @@ def test_pentagon_defect_and_identity():
     assert loop_defect(dia0, 2) != {}
     dia = complete_rank2(dia0)
     assert is_consistent(dia, 10)
-    rays = [w for w in dia.walls if w.kind == "ray"]
+    rays = [w for w in dia.walls if w.faces]
     assert len(rays) == 1 and rays[0].n0 == (1, 1)
     assert rays[0].series == {1: Fraction(1)}
 
@@ -83,7 +83,7 @@ def test_path_ordered_product_identity_path():
 def test_running_example_completion():
     dia, _ = running_prin_diagram()
     assert is_consistent(dia, 12)
-    rays = sorted(w.n0 for w in dia.walls if w.kind == "ray")
+    rays = sorted(w.n0 for w in dia.walls if w.faces)
     assert rays == [(1, 1), (1, 2)]
 
 
@@ -91,7 +91,7 @@ def test_kronecker_walls():
     p = ensemble_map(KRON)
     dia = complete_rank2(initial_diagram(KRON, p, 8))
     assert is_consistent(dia, 8)
-    rays = {w.n0: dict(w.series) for w in dia.walls if w.kind == "ray"}
+    rays = {w.n0: dict(w.series) for w in dia.walls if w.faces}
     # central wall carries the (1-x)^-2 series, side rays are binomials
     assert rays[(1, 1)] == {1: Fraction(2), 2: Fraction(3), 3: Fraction(4),
                             4: Fraction(5)}
@@ -296,16 +296,14 @@ def test_theta_and_alpha_independent_of_seed(fd, order, box, cut0, cut1):
                 continue
             assert alpha1 == alpha, (k, t)
         assert cut == cut_alpha
-    if fd is A2:
-        # the convention is pinned: each other flavor and convention
-        # pair maps some label to another theta function
-        s, s1, fd1 = _mutated_data(fd, 0)
-        dia1 = complete_rank2(initial_diagram(fd1, ensemble_map(fd1), order))
-        for flavor, conv in (("A", "T"), ("A", "t"), ("X", "t")):
-            T = _label_map(s, s1, 0, flavor, conv)
-            assert any(transport(theta, s, s1, "A")
-                       != theta_function(dia1, T(m))[0]
-                       for m, (theta, _) in thetas.items()), (flavor, conv)
+        if fd is A2 and k == 0:
+            # the convention is pinned: each other flavor and convention
+            # pair maps some label to another theta function
+            for flavor, conv in (("A", "T"), ("A", "t"), ("X", "t")):
+                T = _label_map(s, s1, k, flavor, conv)
+                assert any(transport(theta, s, s1, "A")
+                           != theta_function(dia1, T(m))[0]
+                           for m, (theta, _) in thetas.items()), (flavor, conv)
 
 
 def test_theta_on_x_running_example():
@@ -350,7 +348,7 @@ def test_gr36_bend_fixture():
     # single initial wall; the maximally bending line from the fixture
     phi = (1, 0, -1, 0, -1, 1, 0, 0, 0)
     g = tuple(1 if i == 1 else 0 for i in range(9))
-    dia = ScatteringDiagram([Wall(phi, g, {1: 1}, (1,), 1, "line")], 9, 8)
+    dia = ScatteringDiagram([Wall(phi, g, {1: 1}, (1,), 1, ())], 9, 8)
     v1 = (1, 1, 2, 1, 2, 1, 1, 1, 1)
     endpoint = (1, 0, 0, 0, 0, 0, 0, 0, 0)
     lines, exact = enumerate_broken_lines(dia, v1, endpoint, 4)
@@ -429,7 +427,7 @@ def test_power_terms_match_binomial_expansion():
         series = {k: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
                   for k in range(lo, lo + rng.randint(1, 4))}
         series[lo] = series[lo] or Fraction(1)
-        w = Wall((1, 0), (0, 1), series, (1, 0), 1, "line")
+        w = Wall((1, 0), (0, 1), series, (1, 0), 1, ())
         power, kmax = rng.randint(-7, 7), rng.randint(0, 12)
         got = w.power_terms(power, kmax)
         assert got == _binomial_power_terms(w.series, power, kmax)
@@ -462,18 +460,38 @@ def test_theta_independent_of_endpoint():
 
 def test_bend_point_on_several_walls():
     # the path x0 + s (2, -1, 0) runs inside the hyperplane of the ray
-    # wall {x2 = 0, x1 = 0, x0 >= 0} and bends on the line x1 = 0 at
-    # (1, 0, 0), the ray's point
-    line = Wall((0, 1, 0), (0, 0, 1), {1: 1}, (1, 0), 1, "line")
-    ray = Wall((0, 0, 1), (-1, 0, 0), {1: 1}, (1, 1), 1, "ray")
+    # wall {x2 = 0, x0 >= 0} and bends on the line x1 = 0 at (1, 0, 0),
+    # a point of the ray wall
+    line = Wall((0, 1, 0), (0, 0, 1), {1: 1}, (1, 0), 1, ())
+    ray = Wall((0, 0, 1), (-1, 0, 0), {1: 1}, (1, 1), 1, [(1, 0, 0)])
     dia = ScatteringDiagram([line, ray], 3, 4, unfrozen=(0, 1))
     with pytest.raises(NonGenericEndpoint, match="bend point on several"):
         enumerate_broken_lines(dia, (3, -1, 0), (-1, 1, 0), 1)
 
 
+def test_cone_wall_faces_in_either_order():
+    # the quadrant {x2 = 0, x0 >= 0, x1 >= 0}: a crossing off the cone is
+    # skipped even where another face vanishes there, and one on the
+    # cone's boundary is a joint, whatever the order of the faces
+    for faces in ([(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (1, 0, 0)]):
+        wall = Wall((0, 0, 1), (1, 0, 0), {1: 1}, (1,), 1, faces)
+        dia = ScatteringDiagram([wall], 3, 4)
+
+        def crossed(x):
+            return [i for _, i, _ in scattering._segment_crossings(
+                dia, (x, 1, (x[2],)), (0, 0, 1))]
+
+        assert crossed((1, 1, -1)) == [0]
+        assert crossed((0, -1, -1)) == crossed((-1, 0, -1)) == []
+        with pytest.raises(NonGenericEndpoint, match="joint"):
+            crossed((0, 1, -1))
+        assert dia.on_wall((0, 1, 0), (0,)) == [0]
+        assert dia.on_wall((0, -1, 0), (0,)) == []
+
+
 def test_path_through_wall_intersection():
-    walls = [Wall((1, 0), (0, 1), {1: 1}, (1,), 1, "line"),
-             Wall((0, 1), (-1, 0), {1: 1}, (1,), 1, "line")]
+    walls = [Wall((1, 0), (0, 1), {1: 1}, (1,), 1, ()),
+             Wall((0, 1), (-1, 0), {1: 1}, (1,), 1, ())]
     dia = ScatteringDiagram(walls, 2, 4)
     with pytest.raises(NonGenericEndpoint, match="wall intersection"):
         enumerate_broken_lines(dia, (-1, -1), (1, 1), 2)
@@ -552,6 +570,25 @@ def test_negative_orders_are_rejected():
         enumerate_broken_lines(a2_diagram(), (-1, 0), (5, 7), -1)
 
 
+def _on_ray(y, u):
+    """Is the 2d point y on the closed ray through u (u != 0)?  The shadow
+    test, the reference for the face form of a ray wall."""
+    cross = y[0] * u[1] - y[1] * u[0]
+    return cross == 0 and y[0] * u[0] + y[1] * u[1] >= 0
+
+
+def _ray_dir(dia, w):
+    """The outgoing direction -proj(g) of a ray wall in the 2d shadow."""
+    return tuple(-x for x in dia.proj(w.g))
+
+
+def _shadow_on_wall(dia, y, hy):
+    """Reference on_wall: the walls with value 0 at y, a ray wall only
+    where the shadow of y lies on its outgoing ray."""
+    return [i for i, w in enumerate(dia.walls) if hy[i] == 0 and
+            (not w.faces or _on_ray(dia.proj(y), _ray_dir(dia, w)))]
+
+
 def _fraction_crossings(dia, x, h, v):
     """Reference crossings of the ray {x + s v : s > 0} on Fractions, where
     h holds every wall's value at x: s = -h_i / phi_i·v for every wall
@@ -565,11 +602,11 @@ def _fraction_crossings(dia, x, h, v):
         s = Fraction(h[i], -dens[i])
         if s <= 0:
             continue
-        if w.kind == "ray":
+        if w.faces:
             yp = tuple(a + s * b for a, b in zip(dia.proj(x), dia.proj(v)))
             if not any(yp):
                 raise NonGenericEndpoint("path through a joint")
-            if not scattering._on_ray(yp, dia.ray_dir(w)):
+            if not _on_ray(yp, _ray_dir(dia, w)):
                 continue
         found.append((s, i))
     found.sort()
@@ -591,11 +628,15 @@ def _outcome(fn):
 def test_integer_crossings_match_fraction_reference():
     # the integer kernel against the Fraction one on random rational
     # points and directions, and on rays sent through a joint or through
-    # the meeting of two walls
+    # the meeting of two walls; the principal diagrams put the ray faces
+    # beside frozen coordinates, and B2 and G2 scale phi by d
     rng = random.Random(11)
     errors = set()
-    diagrams = [fixture_diagram(name, 8, False)[0]
-                for name in ("a2", "running-example", "kronecker")]
+    diagrams = [fixture_diagram(name, 8, principal)[0]
+                for name in ("a2", "running-example", "kronecker")
+                for principal in (False, True)]
+    diagrams += [complete_rank2(initial_diagram(fd, ensemble_map(fd), 8))
+                 for fd in (B2, G2)]
     for dia in diagrams + [gr36_fixture_diagram()[0]]:
         phis = [w.phi for w in dia.walls]
         meets = [Mat([phis[a], phis[b]]).kernel()
@@ -612,6 +653,9 @@ def test_integer_crossings_match_fraction_reference():
                 for kv in rng.choice(meets):
                     c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                     z = [a + c * b for a, b in zip(z, kv)]
+                hz = tuple(sum(a * b for a, b in zip(p, z)) for p in phis)
+                # the closed cones: a joint is on every wall through it
+                assert dia.on_wall(z, hz) == _shadow_on_wall(dia, z, hz)
                 s0 = Fraction(rng.randint(1, 9), rng.randint(1, 5))
                 x = [a - s0 * b for a, b in zip(z, v)]
             x = tuple(x)
@@ -633,6 +677,8 @@ def test_integer_crossings_match_fraction_reference():
                 assert D > 0 and gcd(*Y, D) == 1
                 assert tuple(Fraction(a, D) for a in Y) == y
                 assert tuple(Fraction(a, D) for a in HY) == hy
+                # the face form of the support against the 2d shadow
+                assert dia.on_wall(Y, HY) == _shadow_on_wall(dia, y, hy)
     assert errors == {"NonGenericEndpoint: path through a joint",
                       "NonGenericEndpoint: path through a wall intersection"}
 
@@ -711,8 +757,8 @@ def test_offset_coefficients_and_depth_against_brute_force():
 
 def test_dependent_wall_directions_are_rejected():
     phi, g = (1, 0, 0), (0, 1, 0)
-    dia = ScatteringDiagram([Wall(phi, g, {1: 1}, (1,), 1, "line"),
-                             Wall(phi, (0, 2, 0), {1: 1}, (1,), 2, "line")],
+    dia = ScatteringDiagram([Wall(phi, g, {1: 1}, (1,), 1, ()),
+                             Wall(phi, (0, 2, 0), {1: 1}, (1,), 2, ())],
                             3, 4)
     with pytest.raises(BadParams, match="dependent"):
         dia.offset_depth((0, 1, 0))
@@ -763,11 +809,11 @@ def _angular_crossings(dia, chambers):
     along the CCW flow there."""
     rays = []
     for i, w in enumerate(dia.walls):
-        if w.kind == "line":
+        if not w.faces:
             phi = dia.proj(w.phi)
             rays += [((-phi[1], phi[0]), i), ((phi[1], -phi[0]), i)]
         else:
-            rays.append((dia.ray_dir(w), i))
+            rays.append((_ray_dir(dia, w), i))
     dirs = [tuple(Fraction(x) for x in c) for c in chambers]
     if any(_angle_key(d, u) is None for d in dirs for u, _ in rays):
         raise SingularPath("chamber direction on a wall")
@@ -863,14 +909,14 @@ def test_completion_corrects_each_degree_once(monkeypatch):
 def test_generic_loop_dirs_search_as_far_as_the_walls_need():
     # line wall t holds the first-quadrant candidate (t + 1, t) and the
     # third-quadrant one -(t + 1, t), so both quadrants skip t = 1..399
-    walls = [Wall((t, -(t + 1)), (t + 1, t), {1: 1}, (1,), 1, "line")
+    walls = [Wall((t, -(t + 1)), (t + 1, t), {1: 1}, (1,), 1, ())
              for t in range(1, 400)]
     dia = ScatteringDiagram(walls, 2, 4, unfrozen=(0, 1))
     assert scattering._generic_loop_dirs(dia) == [
         (401, 400), (-2, 1), (-401, -400), (2, -1), (401, 400)]
     # a wall with a zero shadow normal holds every direction
     flat = ScatteringDiagram([Wall((0, 0, 1), (1, 0, 0), {1: 1}, (1,), 1,
-                                   "line")], 3, 4, unfrozen=(0, 1))
+                                   ())], 3, 4, unfrozen=(0, 1))
     with pytest.raises(SingularPath, match="no generic loop direction"):
         scattering._generic_loop_dirs(flat)
 
