@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from .errors import BadParams, NonGenericEndpoint
+from .errors import BadParams, Truncated
 from .grassmannian import (GrData, cluster_bfs_g_vectors, gt_vector,
                            hook_g_table, hook_g_vector, homogenized_g,
                            no_body, rectangles_seed, verify_val_gv)
@@ -240,7 +240,7 @@ def _grassmannian_slice(k, n, level):
         lab = tuple(1 if t == v else 0 for t in range(gr.dim))
         th, exact = theta_on_x(dia, lab, em)
         if not exact:
-            raise NonGenericEndpoint("frozen theta truncated")
+            raise Truncated("frozen theta truncated")
         summands.append(tropicalize(th, "t"))
     xi = superpotential_cone(summands)
     qrep = [0] * gr.dim

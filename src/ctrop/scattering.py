@@ -17,20 +17,13 @@ when integral and Fractions only when a rational wall series brings one.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
 from math import gcd, lcm
 
 from .errors import (BadParams, NonGenericEndpoint, NotInImage,
                      RankUnsupported, SingularPath, Truncated)
 from .laurent import LaurentPolynomial, _summed
-from .linalg import Mat, exact, integer_scale, vdot, vec
-
-_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-           71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
-           139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
-           211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271)
-
-# generic basepoints / endpoints tried before giving up
-_ATTEMPTS = 32
+from .linalg import Mat, exact, independent_rows, integer_scale, vdot, vec
 
 
 class Wall:
@@ -294,7 +287,7 @@ def _crossings(dia, chambers):
         H = tuple(vdot(w.phi, X) for w in dia.walls)
         if dia.on_wall(X, H):
             raise SingularPath("chamber direction on a wall")
-        pts.append((X, 1, H))
+        pts.append((X, 1, H, None))
     crossings = []
     for x, y in zip(pts, pts[1:]):
         if x == y:
@@ -353,11 +346,8 @@ def _generic_loop_dirs(dia):
                 return cand
         raise SingularPath("no generic loop direction found")
 
-    d1 = pick(1, 1)
-    d2 = pick(-1, 1)
-    d3 = pick(-1, -1)
-    d4 = pick(1, -1)
-    return [d1, d2, d3, d4, d1]
+    dirs = [pick(*q) for q in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    return dirs + dirs[:1]
 
 
 def loop_defect(dia, order=None):
@@ -478,28 +468,67 @@ class BrokenLine:
             self.segments[0][0], self.final(), self.endpoint)
 
 
+class _Eps:
+    """ε rows [(X_k, H_k)] of a point (X, D, H, E) of _segment_crossings,
+    (X + sum ε^k X_k / c_k) / D with c_k > 0, H_k[i] = phi_i·X_k, and the
+    wall values' signs at ε > 0, the first nonzero H_k[i].  Formed from the
+    parent's rows on first use; all vanish on `wall`, the wall reached."""
+    __slots__ = ("_rows", "_signs", "wall", "src")
+
+    def __init__(self, rows, wall, src):
+        self._rows, self._signs, self.wall, self.src = rows, None, wall, src
+
+    def signs(self):
+        if self._signs is None:
+            self._signs = [next(filter(None, c), 0)
+                           for c in zip(*(h for _, h in self.rows()))]
+        return self._signs
+
+    def rows(self):
+        if self._rows is None:
+            (parent, v, dens), i = self.src, self.wall
+            ad, sg = abs(dens[i]), (-1 if dens[i] > 0 else 1)
+            self._rows = [(tuple(ad * a + sg * H[i] * b for a, b in zip(X, v)),
+                           tuple(ad * a + sg * H[i] * b
+                                 for a, b in zip(H, dens)))
+                          for X, H in parent.rows()]
+            self.src = None
+        return self._rows
+
+
+def _sign(e, value):
+    """The first nonzero value(X_k, H_k) over the ε rows of e, or 0 (also
+    for e None): the sign at ε > 0 of a quantity 0 at ε = 0."""
+    return next(filter(None, starmap(value, e.rows() if e else ())), 0)
+
+
 def _segment_crossings(dia, x, v):
-    """Wall crossings along the open ray {X/D + s v : s > 0} from the point
-    x = (X, D, H): integer numerators X over one denominator D > 0, with
-    H[i] = phi_i·X, so wall i has the value H[i]/D there.  Wall i is
-    crossed at s = -H[i] / (D phi_i·v), which is positive only when H[i]
-    and phi_i·v have opposite signs; every other wall is skipped before an
-    s is formed, and so is a crossing point off the wall's cone (a face
-    negative there).  Returns the crossings sorted by s as (s, wall index,
-    point there in the same form).  Raises NonGenericEndpoint where a
-    crossing point is on the boundary of its cone (a joint) and where two
-    walls are crossed at once."""
-    X, D, H = x
+    """Wall crossings along the open ray {x + s v : s > 0} from the point
+    x = (X, D, H, E): integer numerators X over one denominator D > 0, with
+    H[i] = phi_i·X, so wall i has the value H[i]/D there, and E its ε rows
+    (_Eps) or None.  Wall i is crossed at s = -H[i] / (D phi_i·v), which is
+    positive only when H[i] and phi_i·v have opposite signs; every other
+    wall is skipped before an s is formed, and so is a crossing point off
+    the wall's cone.  The ε rows decide only a wall value (off the wall the
+    point is on), a face value or two times that are equal at ε = 0.
+    Returns (s at ε = 0, wall index, point there in the same form) sorted
+    by time.  Raises NonGenericEndpoint where a crossing point is on the
+    boundary of its cone (a joint) or two walls are crossed at once."""
+    X, D, H, E = x
     dens = [vdot(w.phi, v) for w in dia.walls]
     found = []
     for i, (w, hi, d) in enumerate(zip(dia.walls, H, dens)):
-        if hi * d >= 0:
+        if hi * d >= 0 and (hi or E is None or E.wall == i
+                            or E.signs()[i] * d >= 0):
             continue
         # the crossing point, scaled by D |d| > 0, is |d| X + sh v
         ad, sh = (d, -hi) if d > 0 else (-d, hi)
         joint = False
         for f in w.faces:
-            t = ad * vdot(f, X) + sh * vdot(f, v)
+            fv = vdot(f, v)
+            t = ad * vdot(f, X) + sh * fv or _sign(
+                E, lambda Xk, h: ad * vdot(f, Xk)
+                + (-h[i] if d > 0 else h[i]) * fv)
             if t < 0:
                 break
             joint = joint or t == 0
@@ -508,17 +537,33 @@ def _segment_crossings(dia, x, v):
                 raise NonGenericEndpoint("path through a joint")
             found.append((Fraction(hi, -D * d), i, ad, sh))
     found.sort()
-    for (s1, *_), (s2, *_) in zip(found, found[1:]):
-        if s1 == s2:
+    if found[1:] and any(a[0] == b[0] for a, b in zip(found, found[1:])):
+        # ties at ε = 0 go by the times' ε rows, -H_k[i] / (D d_i)
+        rows = E.rows() if E is not None else ()
+        found = sorted(([s] + [Fraction(h[i], -dens[i]) for _, h in rows],
+                        i, ad, sh) for s, i, ad, sh in found)
+        if any(a[0] == b[0] for a, b in zip(found, found[1:])):
             raise NonGenericEndpoint("path through a wall intersection")
+        found = [(s[0], i, ad, sh) for s, i, ad, sh in found]
     out = []
     for s, i, ad, sh in found:
         Y = [ad * a + sh * b for a, b in zip(X, v)]
         g = gcd(*Y, D * ad)
         out.append((s, i, (tuple(a // g for a in Y), D * ad // g,
                            tuple((ad * a + sh * b) // g
-                                 for a, b in zip(H, dens)))))
+                                 for a, b in zip(H, dens)),
+                           None if E is None else _Eps(None, i,
+                                                       (E, v, dens)))))
     return out
+
+
+def _on_walls(dia, x):
+    """dia.on_wall at a point of _segment_crossings, ε rows included."""
+    X, _, H, E = x
+    return [j for j in dia.on_wall(X, H) if E is None or j == E.wall
+            or not E.signs()[j] and all(
+                _sign(E, lambda Xk, _: vdot(f, Xk)) >= 0
+                for f in dia.walls[j].faces if not vdot(f, X))]
 
 
 def _offset_candidates(dia, bound):
@@ -554,11 +599,11 @@ def _label(dia, m):
 
 def _walk(dia, m, x, v, later, results):
     """Follow broken lines with initial exponent m backwards from the point
-    x = (X, D, H) of _segment_crossings, against the exponent v, and append
-    the segments of each one that reaches its initial ray to results.
-    `later` holds (exponent, wall, bend point, factor) for the segments
-    after the current one, in reverse path order.  A module-level
-    function, so no call leaves a reference cycle behind."""
+    x = (X, D, H, E) of _segment_crossings, against the exponent v, and
+    append the segments of each one that reaches its initial ray to
+    results.  `later` holds (exponent, wall, bend point at ε = 0, factor)
+    for the segments after the current one, in reverse path order.  A
+    module-level function, so no call leaves a reference cycle behind."""
     rem = dia.offset_depth(tuple(a - b for a, b in zip(v, m)))
     if rem is None:
         return
@@ -569,7 +614,7 @@ def _walk(dia, m, x, v, later, results):
         return
     for _, i, y in _segment_crossings(dia, x, v):
         w = dia.walls[i]
-        if dia.on_wall(y[0], y[2]) != [i]:
+        if dia.on_wall(y[0], y[2]) != [i] and _on_walls(dia, y) != [i]:
             raise NonGenericEndpoint("bend point on several walls")
         pt = tuple(Fraction(a, y[1]) for a in y[0])
         # a bend takes a term j >= 1 of f^power
@@ -580,28 +625,33 @@ def _walk(dia, m, x, v, later, results):
 
 
 def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
-    """All generic broken lines with the given initial exponent and
-    endpoint, bending depth at most degree_bound.  Returns (lines,
-    exact) where exact is False when a bend was pruned by the bound."""
+    """All broken lines with the given initial exponent, ending at a point
+    or at rows (x0, d1, d2, ...) for x0 + ε d1 + ε^2 d2 + ..., ε > 0
+    infinitesimal, bending depth at most degree_bound; nothing is retried.
+    Returns (lines, exact) where exact is False when a bend was pruned by
+    the bound."""
     m = _label(dia, m)
     if not any(m):
         raise BadParams("initial exponent must be nonzero")
     bound = degree_bound if degree_bound is not None else dia.order
     if bound < 0:
         raise BadParams("degree bound must be nonnegative")
-    x0 = _sized(dia, vec(endpoint), "endpoint")
+    rows = endpoint if isinstance(endpoint[0], (tuple, list)) else [endpoint]
+    x0, *deltas = [_sized(dia, vec(r), "endpoint") for r in rows]
     h0 = tuple(vdot(w.phi, x0) for w in dia.walls)
-    if dia.on_wall(x0, h0):
-        raise NonGenericEndpoint("endpoint lies on a wall")
     # the endpoint on one common denominator (see _segment_crossings)
     den, X = integer_scale(x0)
-    start = (X, den, tuple(int(a * den) for a in h0))
+    eps = [integer_scale(d)[1] for d in deltas]
+    start = (X, den, tuple(int(a * den) for a in h0),
+             _Eps([(d, tuple(vdot(w.phi, d) for w in dia.walls))
+                   for d in eps], None, None) if eps else None)
+    if _on_walls(dia, start):
+        raise NonGenericEndpoint("endpoint lies on a wall")
     results = []
     for off, d in sorted(_offset_candidates(dia, bound).items()):
         v0 = tuple(a + b for a, b in zip(m, off))
-        if not any(v0):
-            continue
-        _walk(dia, m, start, v0, [], results)
+        if any(v0):
+            _walk(dia, m, start, v0, [], results)
 
     lines = []
     hit_bound = False
@@ -613,57 +663,38 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
             full.append((exp, coef, wi, pt))
         ln = BrokenLine(full, x0)
         off = tuple(a - b for a, b in zip(ln.final()[1], m))
-        if dia.depth_of_offset(off) >= bound:
-            hit_bound = True
+        hit_bound = hit_bound or dia.depth_of_offset(off) >= bound
         lines.append(ln)
     lines.sort(key=lambda l: ([s[0] for s in l.segments],))
     return lines, not hit_bound
 
 
-def _sample_basepoint(dia, attempt):
-    p = _PRIMES[(2 * attempt) % len(_PRIMES)]
-    q = _PRIMES[(2 * attempt + 1) % len(_PRIMES)]
-    x = [0] * dia.dim
-    ks = _mutable(dia)
-    x[ks[0]] = 1 + Fraction(1, p)
-    if len(ks) > 1:
-        x[ks[1]] = 1 + Fraction(2, q)
-    return tuple(x)
-
-
-def _at_generic_point(candidate, compute):
-    """compute(x) at the first of the points candidate(0), candidate(1),
-    ... (at most _ATTEMPTS of them) where it raises no NonGenericEndpoint;
-    candidate returns None for a point to skip.  Raises
-    NonGenericEndpoint when the candidates run out."""
-    for attempt in range(_ATTEMPTS):
-        x = candidate(attempt)
-        if x is None:
-            continue
-        try:
-            return compute(x)
-        except NonGenericEndpoint:
-            continue
-    raise NonGenericEndpoint("no generic endpoint found")
+def _perturbed(dia, x0):
+    """Rows of x0 + ε·1 + ε^2·e_c1 + ε^3·e_c2 + ... (Edelsbrunner-Mücke
+    Simulation of Simplicity), c1 < c2 < ... the coordinates independent on
+    the walls' functionals and faces: no nonzero combination of them
+    vanishes there, so no value is 0 unless it is 0 at every point."""
+    fs = [f for w in dia.walls for f in (w.phi,) + w.faces]
+    return [x0, (1,) * dia.dim] + [
+        tuple(int(j == c) for j in range(dia.dim))
+        for c in independent_rows(list(zip(*fs)))]
 
 
 def theta_function(dia, m, degree_bound=None):
     """Theta function with label m: sum of final monomials of all broken
-    lines ending at a generic basepoint interior to the positive chamber.
+    lines ending at the perturbed point x0 + ε·1 + ... of C+, x0 = 1 on the
+    mutable coordinates; one enumeration, no endpoint retried.
 
     Returns (polynomial, exact flag).  theta_0 = 1 by definition.
     """
     m = _label(dia, m)
     if not any(m):
         return LaurentPolynomial.one(dia.dim), True
-
-    def at(x0):
-        lines, exact = enumerate_broken_lines(dia, m, x0, degree_bound)
-        return _summed(((e, c) for c, e in map(BrokenLine.final, lines)),
-                       dia.dim), exact
-
-    return _at_generic_point(lambda attempt: _sample_basepoint(dia, attempt),
-                             at)
+    x0 = tuple(int(k in _mutable(dia)) for k in range(dia.dim))
+    lines, exact = enumerate_broken_lines(dia, m, _perturbed(dia, x0),
+                                          degree_bound)
+    return _summed(((e, c) for c, e in map(BrokenLine.final, lines)),
+                   dia.dim), exact
 
 
 def theta_on_x(dia_prin, dn, p, degree_bound=None):
@@ -690,57 +721,23 @@ def theta_on_x(dia_prin, dn, p, degree_bound=None):
 
 def structure_constant(dia, p_lab, q_lab, r_lab, degree_bound=None):
     """Structure constant alpha(p, q, r) counted by pairs of broken lines
-    ending at a generic point adjacent to r."""
-    p_lab = _label(dia, p_lab)
-    q_lab = _label(dia, q_lab)
-    r_lab = _label(dia, r_lab)
+    ending at the perturbed point r + ε·1 + ..., generic and
+    infinitesimally close to r; no endpoint retried."""
+    p_lab, q_lab, r_lab = (_label(dia, x) for x in (p_lab, q_lab, r_lab))
     if not any(p_lab):
         return 1 if q_lab == r_lab else 0
     if not any(q_lab):
         return 1 if p_lab == r_lab else 0
     bound = degree_bound if degree_bound is not None else dia.order
-
-    def at(z):
-        lines_p, ex_p = enumerate_broken_lines(dia, p_lab, z, bound)
-        lines_q, ex_q = enumerate_broken_lines(dia, q_lab, z, bound)
-        if not (ex_p and ex_q):
-            raise Truncated("degree bound reached while pairing broken lines")
-        total = 0
-        for l1 in lines_p:
-            c1, f1 = l1.final()
-            for l2 in lines_q:
-                c2, f2 = l2.final()
-                if tuple(a + b for a, b in zip(f1, f2)) == r_lab:
-                    total += c1 * c2
-        return exact(total)
-
-    return _at_generic_point(lambda attempt: _near_point(dia, r_lab, attempt),
-                             at)
-
-
-def _near_point(dia, r, attempt):
-    """Generic rational point close to r: same strict side of every wall
-    not containing r, off every wall."""
-    delta = []
-    for i in range(dia.dim):
-        pr = _PRIMES[(i + 3 * attempt) % len(_PRIMES)]
-        delta.append(Fraction(1, pr))
-    for s in range(2, 64):
-        scale = Fraction(1, 2 ** s)
-        z = tuple(Fraction(a) + scale * b for a, b in zip(r, delta))
-        ok = True
-        for w in dia.walls:
-            vr = vdot(w.phi, r)
-            vz = vdot(w.phi, z)
-            if vz == 0:
-                ok = False
-                break
-            if vr != 0 and (vr > 0) != (vz > 0):
-                ok = False
-                break
-        if ok:
-            return z
-    return None
+    z = _perturbed(dia, r_lab)
+    lines_p, ex_p = enumerate_broken_lines(dia, p_lab, z, bound)
+    lines_q, ex_q = enumerate_broken_lines(dia, q_lab, z, bound)
+    if not (ex_p and ex_q):
+        raise Truncated("degree bound reached while pairing broken lines")
+    finals_q = [ln.final() for ln in lines_q]
+    return exact(sum(c1 * c2 for c1, f1 in map(BrokenLine.final, lines_p)
+                     for c2, f2 in finals_q
+                     if tuple(a + b for a, b in zip(f1, f2)) == r_lab))
 
 
 class LazyThetaTable:

@@ -380,21 +380,6 @@ def test_gr36_two_nonzero_structure_constants():
     assert nonzero == {pq: 1, bend: 1}
 
 
-def test_generic_point_retry_gives_up_loudly():
-    # the shared basepoint/endpoint retry skips None candidates, retries
-    # on NonGenericEndpoint and raises it after 32 attempts
-    from ctrop.scattering import _at_generic_point
-    tried = []
-
-    def compute(x):
-        tried.append(x)
-        raise NonGenericEndpoint("path through a joint")
-
-    with pytest.raises(NonGenericEndpoint, match="no generic endpoint"):
-        _at_generic_point(lambda a: a if a % 2 else None, compute)
-    assert tried == list(range(1, 32, 2))
-
-
 def _binomial_power_terms(series, power, kmax):
     """Reference f^power: sum over i of C(power, i) (f - 1)^i, truncated."""
     u = {k: c for k, c in series.items() if k <= kmax}
@@ -479,7 +464,7 @@ def test_cone_wall_faces_in_either_order():
 
         def crossed(x):
             return [i for _, i, _ in scattering._segment_crossings(
-                dia, (x, 1, (x[2],)), (0, 0, 1))]
+                dia, (x, 1, (x[2],), None), (0, 0, 1))]
 
         assert crossed((1, 1, -1)) == [0]
         assert crossed((0, -1, -1)) == crossed((-1, 0, -1)) == []
@@ -665,14 +650,14 @@ def test_integer_crossings_match_fraction_reference():
             H = tuple(sum(a * b for a, b in zip(p, X)) for p in phis)
             want = _outcome(lambda: _fraction_crossings(dia, x, h, v))
             got = _outcome(lambda: scattering._segment_crossings(
-                dia, (X, den, H), v))
+                dia, (X, den, H, None), v))
             if isinstance(want, str):
                 assert got == want, (x, v)
                 errors.add(want)
                 continue
             assert [(s, i) for s, i, _ in got] == \
                 [(s, i) for s, i, _, _ in want]
-            for (_, _, (Y, D, HY)), (_, _, y, hy) in zip(got, want):
+            for (_, _, (Y, D, HY, _)), (_, _, y, hy) in zip(got, want):
                 # the point in lowest terms, and its wall values
                 assert D > 0 and gcd(*Y, D) == 1
                 assert tuple(Fraction(a, D) for a in Y) == y
@@ -935,3 +920,80 @@ def test_path_side_of_a_half_turn_or_more_is_rejected():
     assert all(poly == LaurentPolynomial.monomial(
         tuple(1 if i == j else 0 for i in range(2)))
         for j, poly in table.items())
+
+
+def test_theta_at_a_nongeneric_point_by_its_perturbation():
+    # at (1, 1) a line with one of these labels runs through a joint or
+    # meets two walls at once; the ε rows of the perturbed point settle
+    # every such tie, and the theta function is the one of any generic
+    # point of C+ and the greedy element
+    dia = a2_diagram()
+    rng = random.Random(3)
+    ties = []
+    for m in product(range(-3, 4), repeat=2):
+        if not any(m):
+            continue
+        try:
+            enumerate_broken_lines(dia, m, (1, 1))
+            continue
+        except NonGenericEndpoint:
+            ties.append(m)
+        theta = theta_function(dia, m)
+        assert theta[1]
+        for _ in range(3):
+            bp = tuple(Fraction(rng.randint(1, 999), rng.randint(1, 999))
+                       for _ in range(2))
+            assert _theta_at(dia, m, bp) == theta, (m, bp)
+        a = [-min(e[i] for e in theta[0].coeffs) for i in range(2)]
+        assert theta[0].coeffs == greedy(*a, 1, 1), m
+    assert len(ties) == 18 and (-1, -1) in ties
+
+
+def _sign_of(x):
+    return (x > 0) - (x < 0)
+
+
+def test_perturbed_crossings_match_fraction_reference():
+    # rays from the perturbed point x0 + ε·1 + ε^2 e_c1 + ... against the
+    # Fraction sweep at x0 + t·1 + t^2 e_c1 + ... for a small t: the same
+    # walls in the same order, times and points that tend to the ε = 0
+    # ones, and wall values at each crossing point with the signs of the
+    # ε rows formed from the parent's; x0 runs over points on walls and
+    # joints, so wall values, face values and times tie at ε = 0
+    t = Fraction(1, 10 ** 9)
+    seen = Counter()
+    for name in ("a2", "kronecker"):
+        dia = fixture_diagram(name, 6)[0]
+        for x0 in product(range(-2, 3), repeat=2):
+            for v in product(range(-3, 4), repeat=2):
+                if not any(v):
+                    continue
+                x0, *deltas = scattering._perturbed(dia, x0)
+                xt = tuple(a + sum(t ** (k + 1) * d[j]
+                                   for k, d in enumerate(deltas))
+                           for j, a in enumerate(x0))
+                ht = tuple(sum(a * b for a, b in zip(w.phi, xt))
+                           for w in dia.walls)
+                want = _fraction_crossings(dia, xt, ht, v)
+                eps = scattering._Eps(
+                    [(d, tuple(sum(a * b for a, b in zip(w.phi, d))
+                               for w in dia.walls)) for d in deltas],
+                    None, None)
+                H = tuple(sum(a * b for a, b in zip(w.phi, x0))
+                          for w in dia.walls)
+                got = scattering._segment_crossings(dia, (x0, 1, H, eps), v)
+                assert [i for _, i, _ in got] == [i for _, i, _, _ in want]
+                seen["zero wall value"] += any(s == 0 for s, _, _ in got)
+                seen["equal times"] += len({s for s, _, _ in got}) < len(got)
+                for (s, i, (Y, D, HY, E)), (st, _, y, hy) in zip(got, want):
+                    assert abs(st - s) < 1e-6
+                    assert all(abs(Fraction(a, D) - b) < 1e-6
+                               for a, b in zip(Y, y))
+                    seen["zero face value"] += any(
+                        sum(a * b for a, b in zip(f, Y)) == 0
+                        for f in dia.walls[i].faces)
+                    for j, hj in enumerate(hy):
+                        ej = HY[j] or scattering._sign(E, lambda _, h: h[j])
+                        assert _sign_of(ej) == _sign_of(hj), (x0, v, i, j)
+    assert min(seen[k] for k in ("zero wall value", "equal times",
+                                 "zero face value")) > 0, seen
