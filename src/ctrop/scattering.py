@@ -99,7 +99,7 @@ class ScatteringDiagram:
         self.unfrozen = tuple(unfrozen) if unfrozen is not None else None
         self.fd = fd
         self._offset_cache = {}
-        self._depth = None
+        self._depth = self._eps = None
 
     def at_order(self, order):
         """The same walls read at another truncation order (self when the
@@ -670,14 +670,16 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
 
 
 def _perturbed(dia, x0):
-    """Rows of x0 + ε·1 + ε^2·e_c1 + ε^3·e_c2 + ... (Edelsbrunner-Mücke
-    Simulation of Simplicity), c1 < c2 < ... the coordinates independent on
-    the walls' functionals and faces: no nonzero combination of them
-    vanishes there, so no value is 0 unless it is 0 at every point."""
-    fs = [f for w in dia.walls for f in (w.phi,) + w.faces]
-    return [x0, (1,) * dia.dim] + [
-        tuple(int(j == c) for j in range(dia.dim))
-        for c in independent_rows(list(zip(*fs)))]
+    """Rows of x0 + ε·1 + ε^2·e_c1 + ... (Edelsbrunner-Mücke Simulation of
+    Simplicity), c1 < c2 < ... coordinates independent on the walls'
+    functionals and faces, kept on the diagram: no nonzero functional in
+    their span vanishes at the perturbed point."""
+    if dia._eps is None:
+        fs = [f for w in dia.walls for f in (w.phi,) + w.faces]
+        dia._eps = [(1,) * dia.dim] + [
+            tuple(int(j == c) for j in range(dia.dim))
+            for c in independent_rows(list(zip(*fs)))]
+    return [x0] + dia._eps
 
 
 def theta_function(dia, m, degree_bound=None):
