@@ -625,19 +625,19 @@ def _walk(dia, m, x, v, later, results):
 
 
 def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
-    """All broken lines with the given initial exponent, ending at a point
-    or at rows (x0, d1, d2, ...) for x0 + ε d1 + ε^2 d2 + ..., ε > 0
-    infinitesimal, bending depth at most degree_bound; nothing is retried.
-    Returns (lines, exact) where exact is False when a bend was pruned by
-    the bound."""
+    """All broken lines with the given initial exponent and bending depth
+    at most degree_bound, ending at a point or at rows (x0, d1, d2, ...)
+    for x0 + ε d1 + ε^2 d2 + ..., ε > 0 infinitesimal; nothing is retried.
+    Returns (lines, exact), exact False when the bound pruned a bend."""
     m = _label(dia, m)
     if not any(m):
         raise BadParams("initial exponent must be nonzero")
     bound = degree_bound if degree_bound is not None else dia.order
     if bound < 0:
         raise BadParams("degree bound must be nonnegative")
-    rows = endpoint if isinstance(endpoint[0], (tuple, list)) else [endpoint]
-    x0, *deltas = [_sized(dia, vec(r), "endpoint") for r in rows]
+    nested = endpoint and isinstance(endpoint[0], (tuple, list))
+    x0, *deltas = [_sized(dia, vec(r), "endpoint")
+                   for r in (endpoint if nested else [endpoint])]
     h0 = tuple(vdot(w.phi, x0) for w in dia.walls)
     # the endpoint on one common denominator (see _segment_crossings)
     den, X = integer_scale(x0)

@@ -502,7 +502,7 @@ def test_broken_lines_carry_wall_values(monkeypatch):
 
 def test_endpoint_of_wrong_length_is_rejected():
     dia = a2_diagram()
-    for point in ((Fraction(3, 2),), (Fraction(3, 2), 1, 1)):
+    for point in ((), (Fraction(3, 2),), (Fraction(3, 2), 1, 1)):
         with pytest.raises(BadParams):
             enumerate_broken_lines(dia, (-1, 0), point, 10)
 
