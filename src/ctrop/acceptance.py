@@ -158,13 +158,13 @@ def criterion_4():
     a2_ok = (len(rays) == 1 and rays[0].n0 == (1, 1)
              and rays[0].series == {1: 1}
              and rays[0].g == tuple(int(x) for x in g_sum)
-             and is_consistent(dia_a2, 10))
+             and is_consistent(dia_a2))
     dia_run, _ = fixture_diagram("running-example", 12, principal=True)
-    run_ok = is_consistent(dia_run, 12)
+    run_ok = is_consistent(dia_run)
     kron_ok = True
     for order in range(2, 9):
         dk, _ = fixture_diagram("kronecker", order)
-        kron_ok = kron_ok and is_consistent(dk, order)
+        kron_ok = kron_ok and is_consistent(dk)
     return (a2_ok and run_ok and kron_ok,
             "a2=%s running=%s kronecker=%s" % (a2_ok, run_ok, kron_ok))
 

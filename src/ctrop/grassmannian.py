@@ -112,11 +112,9 @@ def _corners(lam):
     """Turning rectangles (i_p, j_p) of the boundary path, outer corners
     read north-east to south-west."""
     corners = []
-    rows = 0
     for r, ln in enumerate(lam):
         if ln == 0:
             break
-        rows = r + 1
         if r + 1 == len(lam) or lam[r + 1] < ln:
             corners.append((r + 1, ln))
     return corners

@@ -39,20 +39,12 @@ def vec(entries):
     return tuple(Fraction(x) if not isinstance(x, (int, Fraction)) else x for x in entries)
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
 def vneg(a):
     return tuple(-x for x in a)
-
-
-def vscale(c, a):
-    return tuple(c * x for x in a)
 
 
 def vdot(a, b):
@@ -152,17 +144,11 @@ class Mat:
             return Mat([[vdot(r, c) for c in bt] for r in self.rows])
         return tuple(vdot(r, other) for r in self.rows)
 
-    def __add__(self, other):
-        return Mat([vadd(a, b) for a, b in zip(self.rows, other.rows)])
-
     def __sub__(self, other):
         return Mat([vsub(a, b) for a, b in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return Mat([vneg(r) for r in self.rows])
-
-    def scale(self, c):
-        return Mat([vscale(c, r) for r in self.rows])
 
     def is_integer(self):
         return all(Fraction(x).denominator == 1 for r in self.rows for x in r)

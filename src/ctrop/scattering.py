@@ -19,11 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import starmap
 from math import gcd, lcm
+from operator import sub
 
 from .errors import (BadParams, NonGenericEndpoint, NotInImage,
                      RankUnsupported, SingularPath, Truncated)
 from .laurent import LaurentPolynomial, _summed
-from .linalg import Mat, exact, independent_rows, integer_scale, vdot, vec
+from .linalg import exact, independent_rows, integer_scale, vdot, vec
 
 
 class Wall:
@@ -98,13 +99,12 @@ class ScatteringDiagram:
         self.order = order
         self.unfrozen = tuple(unfrozen) if unfrozen is not None else None
         self.fd = fd
-        self._offset_cache = {}
-        self._depth = self._eps = None
+        self._offsets = self._eps = None
 
     def at_order(self, order):
         """The same walls read at another truncation order (self when the
-        order is None or unchanged)."""
-        if order is None or order == self.order:
+        order is unchanged)."""
+        if order == self.order:
             return self
         return ScatteringDiagram(self.walls, self.dim, order, self.unfrozen,
                                  self.fd)
@@ -122,58 +122,32 @@ class ScatteringDiagram:
         return [i for i, w in enumerate(self.walls)
                 if h[i] == 0 and all(vdot(f, x) >= 0 for f in w.faces)]
 
-    def _generators(self):
-        """(G, degrees): the matrix whose columns are the exponent
-        directions depth is measured against (the p*_1 images of the
-        mutable basis vectors, or the distinct wall directions), and their
-        degrees.  Built on the first depth query and kept on the diagram;
-        every query checks that the directions are independent."""
-        if self._depth is None:
+    def offsets(self):
+        """{offset: (c, depth)} for every exponent offset G c, c >= 0
+        integral with depth sum c_i deg_i <= the order, in offset order.
+        The columns of G are the p*_1 images of the mutable basis vectors
+        (degree 1) for a cluster diagram, else the distinct wall directions
+        with their degrees; they must be independent, so each offset has
+        one c.  Built on first use and kept on the diagram."""
+        if self._offsets is None:
             if self.fd is not None and self.unfrozen is not None:
-                gs = [self.fd.epsilon().rows[k] for k in self.unfrozen]
-                degs = [1] * len(gs)
+                gens = [(tuple(int(x) for x in self.fd.epsilon().rows[k]), 1)
+                        for k in self.unfrozen]
             else:
                 gens = {}
                 for w in self.walls:
                     gens.setdefault(w.g, w.deg)
-                gs, degs = list(gens), list(gens.values())
-            self._depth = (Mat([[g[i] for g in gs] for i in range(self.dim)]),
-                           degs)
-        return self._depth
-
-    def offset_coefficients(self, offset):
-        """Integer coefficients of an exponent offset on the generator
-        columns, or None if it is no integer combination of them."""
-        G, degs = self._generators()
-        sol = G.solve(offset)
-        # the one elimination behind solve also gives G's rank
-        if G.rank() != len(degs):
-            raise BadParams("wall exponent directions are dependent")
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return None
-        return [c.numerator for c in sol]
-
-    def offset_depth(self, offset):
-        """N_uf^+-degree of an exponent offset in the positive cone of the
-        wall exponent directions, or None if the offset is not there."""
-        offset = tuple(offset)
-        if offset in self._offset_cache:
-            return self._offset_cache[offset]
-        sol = self.offset_coefficients(offset)
-        if sol is None or any(c < 0 for c in sol):
-            d = None
-        else:
-            degs = self._generators()[1]
-            d = sum(c * w for c, w in zip(sol, degs))
-        self._offset_cache[offset] = d
-        return d
-
-    def depth_of_offset(self, offset):
-        d = self.offset_depth(offset)
-        if d is None:
-            raise BadParams("offset %r not in the positive exponent cone"
-                            % (tuple(offset),))
-        return d
+                gens = list(gens.items())
+            if len(independent_rows([g for g, _ in gens])) != len(gens):
+                raise BadParams("wall exponent directions are dependent")
+            table = {(0,) * self.dim: ((0,) * len(gens), 0)}
+            for i, (g, deg) in enumerate(gens):
+                for off, (c, d0) in list(table.items()):
+                    for j in range(1, (self.order - d0) // deg + 1):
+                        table[tuple(a + j * b for a, b in zip(off, g))] = (
+                            c[:i] + (j,) + c[i + 1:], d0 + j * deg)
+            self._offsets = dict(sorted(table.items()))
+        return self._offsets
 
     def to_json(self):
         # at equal n0 a line (no faces) sorts first, as its JSON kind does
@@ -255,17 +229,20 @@ def wall_cross(mono, wall, crossing_sign, max_k):
 def _apply_wall(poly, wall, sign, dia, base_exp):
     """Apply one crossing to a polynomial, truncating offsets beyond the
     diagram order (offsets measured from base_exp)."""
+    table = dia.offsets()
+
     def terms():
         for e, c in poly.coeffs.items():
-            used = dia.depth_of_offset(tuple(a - b for a, b in
-                                             zip(e, base_exp)))
-            budget = dia.order - used
-            if budget >= 0:
-                yield from wall_cross((c, e), wall, sign,
-                                      max_k=budget // wall.deg).coeffs.items()
+            off = tuple(map(sub, e, base_exp))
+            if off not in table:
+                raise BadParams("offset %r not in the positive exponent cone"
+                                " within the order" % (off,))
+            budget = dia.order - table[off][1]
+            yield from wall_cross((c, e), wall, sign,
+                                  max_k=budget // wall.deg).coeffs.items()
 
-    # a wall's direction g has depth deg, so its j-th term adds
-    # j * deg <= budget to the depth: no term lands past the order
+    # table depths are at most the order; a wall's direction has depth
+    # deg, so its j-th term adds j * deg <= budget: none passes the order
     return _summed(terms(), poly.dim)
 
 
@@ -350,9 +327,10 @@ def _generic_loop_dirs(dia):
     return dirs + dirs[:1]
 
 
-def loop_defect(dia, order=None):
-    """Degree-graded defect of the full loop on a generic probe monomial:
-    {offset: coefficient} with the identity part removed."""
+def loop_defect(dia, order):
+    """Degree-graded defect of the full loop on a generic probe monomial,
+    read at the given truncation order: {offset: coefficient} with the
+    identity part removed."""
     dia = dia.at_order(order)
     ks = _mutable(dia)
     if len(ks) <= 1:
@@ -372,10 +350,9 @@ def loop_defect(dia, order=None):
     return out
 
 
-def is_consistent(dia, order=None):
+def is_consistent(dia):
     """Loop path-ordered product equals the identity on all generators up
     to the truncation order."""
-    dia = dia.at_order(order)
     if len(_mutable(dia)) <= 1:
         return True
     table = path_ordered_product(_generic_loop_dirs(dia), dia)
@@ -410,9 +387,10 @@ def complete_rank2(dia):
     for deg in range(2, out.order + 1):
         defect = loop_defect(out, deg)
         for off in sorted(defect):
-            if out.depth_of_offset(off) != deg:
+            c, depth = out.offsets()[off]
+            if depth != deg:
                 continue
-            a, b, k = _primitive_pair(*out.offset_coefficients(off))
+            a, b, k = _primitive_pair(*c)
             idx = ray_index.get((a, b))
             if idx is None:
                 out.walls.append(_ray_wall(out, a, b, {}))
@@ -566,22 +544,6 @@ def _on_walls(dia, x):
                 for f in dia.walls[j].faces if not vdot(f, X))]
 
 
-def _offset_candidates(dia, bound):
-    """The offsets G c over the generator columns of the diagram, c >= 0
-    integral with total degree sum c_i deg_i <= bound, with their degrees.
-    Each wall direction lies there at its own degree, so these hold every
-    sum of wall directions within the bound: every start of a broken line
-    whose bends stay within it."""
-    G, degs = dia._generators()
-    offs = {(0,) * dia.dim: 0}
-    for g, deg in zip(G.cols(), degs):
-        for off, d0 in list(offs.items()):
-            for j in range(1, (bound - d0) // deg + 1):
-                offs.setdefault(tuple(a + j * b for a, b in zip(off, g)),
-                                d0 + j * deg)
-    return offs
-
-
 def _sized(dia, x, what):
     """x, a label or a point; BadParams when its length differs from the
     diagram dimension."""
@@ -604,9 +566,10 @@ def _walk(dia, m, x, v, later, results):
     results.  `later` holds (exponent, wall, bend point at ε = 0, factor)
     for the segments after the current one, in reverse path order.  A
     module-level function, so no call leaves a reference cycle behind."""
-    rem = dia.offset_depth(tuple(a - b for a, b in zip(v, m)))
-    if rem is None:
+    entry = dia.offsets().get(tuple(map(sub, v, m)))
+    if entry is None:
         return
+    rem = entry[1]
     if rem == 0:
         # certify that the initial ray is clean
         _segment_crossings(dia, x, v)
@@ -633,8 +596,9 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
     if not any(m):
         raise BadParams("initial exponent must be nonzero")
     bound = degree_bound if degree_bound is not None else dia.order
-    if bound < 0:
-        raise BadParams("degree bound must be nonnegative")
+    if not 0 <= bound <= dia.order:
+        raise BadParams("degree bound must be in [0, %d], the diagram order"
+                        % dia.order)
     nested = endpoint and isinstance(endpoint[0], (tuple, list))
     x0, *deltas = [_sized(dia, vec(r), "endpoint")
                    for r in (endpoint if nested else [endpoint])]
@@ -647,10 +611,12 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
                    for d in eps], None, None) if eps else None)
     if _on_walls(dia, start):
         raise NonGenericEndpoint("endpoint lies on a wall")
+    # the start offsets within the bound, in offset order
+    table = dia.offsets()
     results = []
-    for off, d in sorted(_offset_candidates(dia, bound).items()):
+    for off, (_, d) in table.items():
         v0 = tuple(a + b for a, b in zip(m, off))
-        if any(v0):
+        if d <= bound and any(v0):
             _walk(dia, m, start, v0, [], results)
 
     lines = []
@@ -662,8 +628,8 @@ def enumerate_broken_lines(dia, m, endpoint, degree_bound=None):
             coef *= factor
             full.append((exp, coef, wi, pt))
         ln = BrokenLine(full, x0)
-        off = tuple(a - b for a, b in zip(ln.final()[1], m))
-        hit_bound = hit_bound or dia.depth_of_offset(off) >= bound
+        off = tuple(map(sub, ln.final()[1], m))
+        hit_bound = hit_bound or table[off][1] >= bound
         lines.append(ln)
     lines.sort(key=lambda l: ([s[0] for s in l.segments],))
     return lines, not hit_bound
@@ -730,10 +696,9 @@ def structure_constant(dia, p_lab, q_lab, r_lab, degree_bound=None):
         return 1 if q_lab == r_lab else 0
     if not any(q_lab):
         return 1 if p_lab == r_lab else 0
-    bound = degree_bound if degree_bound is not None else dia.order
     z = _perturbed(dia, r_lab)
-    lines_p, ex_p = enumerate_broken_lines(dia, p_lab, z, bound)
-    lines_q, ex_q = enumerate_broken_lines(dia, q_lab, z, bound)
+    lines_p, ex_p = enumerate_broken_lines(dia, p_lab, z, degree_bound)
+    lines_q, ex_q = enumerate_broken_lines(dia, q_lab, z, degree_bound)
     if not (ex_p and ex_q):
         raise Truncated("degree bound reached while pairing broken lines")
     finals_q = [ln.final() for ln in lines_q]

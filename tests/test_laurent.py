@@ -538,13 +538,12 @@ def _reference_step(s, s2, f, flavor, forward):
         frame_t = frame(src).transpose()
         to_own = frame(dst).inverse().transpose()
         binom = tuple(x * d[j] for j, x in enumerate((Mat([ek]) * lam).rows[0]))
-        pairing = Mat([[Fraction(x, d[j]) for j, x in enumerate(ek)]])
-        pairing = pairing.scale(d[k])
+        pairing = Mat([[Fraction(x, d[j]) * d[k] for j, x in enumerate(ek)]])
     else:
         frame_t = src.basis.transpose()
         to_own = dst.basis.inverse().transpose()
         binom = ek
-        pairing = Mat([lam * ek]).scale(d[k])
+        pairing = Mat([[x * d[k] for x in lam * ek]])
     terms = []
     for e, c in f.coeffs.items():
         init = frame_t * e

@@ -66,7 +66,7 @@ def test_pentagon_defect_and_identity():
     assert not is_consistent(dia0)
     assert loop_defect(dia0, 2) != {}
     dia = complete_rank2(dia0)
-    assert is_consistent(dia, 10)
+    assert is_consistent(dia)
     rays = [w for w in dia.walls if w.faces]
     assert len(rays) == 1 and rays[0].n0 == (1, 1)
     assert rays[0].series == {1: Fraction(1)}
@@ -82,7 +82,7 @@ def test_path_ordered_product_identity_path():
 
 def test_running_example_completion():
     dia, _ = running_prin_diagram()
-    assert is_consistent(dia, 12)
+    assert is_consistent(dia)
     rays = sorted(w.n0 for w in dia.walls if w.faces)
     assert rays == [(1, 1), (1, 2)]
 
@@ -90,7 +90,7 @@ def test_running_example_completion():
 def test_kronecker_walls():
     p = ensemble_map(KRON)
     dia = complete_rank2(initial_diagram(KRON, p, 8))
-    assert is_consistent(dia, 8)
+    assert is_consistent(dia)
     rays = {w.n0: dict(w.series) for w in dia.walls if w.faces}
     # central wall carries the (1-x)^-2 series, side rays are binomials
     assert rays[(1, 1)] == {1: Fraction(2), 2: Fraction(3), 3: Fraction(4),
@@ -512,7 +512,8 @@ def test_diagram_without_mutable_directions():
     p = tuple(fx["valuations"]["124"])
     q = tuple(fx["valuations"]["356"])
     for call in (lambda: theta_function(dia, p),
-                 lambda: loop_defect(dia), lambda: is_consistent(dia),
+                 lambda: loop_defect(dia, dia.order),
+                 lambda: is_consistent(dia),
                  lambda: path_ordered_product([(1, 1), (-1, 1)], dia),
                  lambda: complete_rank2(dia)):
         with pytest.raises(BadParams):
@@ -527,7 +528,7 @@ def test_one_mutable_direction_has_no_loop_defect():
     fd = FixedData(2, {0}, Mat([[0, 1], [-1, 0]]), (1, 1))
     dia = initial_diagram(fd, ensemble_map(fd), 4)
     assert is_consistent(dia)
-    assert loop_defect(dia) == {}
+    assert loop_defect(dia, dia.order) == {}
     assert loop_defect(dia, 2) == {}
 
 
@@ -670,9 +671,9 @@ def test_integer_crossings_match_fraction_reference():
 
 def _wall_sum_offsets(dia, bound):
     """The broken-line start offsets as sums of wall directions, the
-    reference for scattering._offset_candidates: sum j_w g_w over the walls
-    with a nonzero series, total degree sum j_w deg_w <= bound, each offset
-    with its least degree."""
+    reference for the offset table: sum j_w g_w over the walls with a
+    nonzero series, total degree sum j_w deg_w <= bound, each offset with
+    its least degree."""
     offs = {(0,) * dia.dim: 0}
     for w in dia.walls:
         if w.max_k() == 0:
@@ -699,9 +700,9 @@ def test_offsets_on_the_generator_lattice_match_wall_sums():
     gr36 = gr36_fixture_diagram()[0]
     cases += [(gr36, bound) for bound in range(9)]
     for dia, bound in cases:
-        got = scattering._offset_candidates(dia, bound)
+        got = {off: d for off, (_, d) in dia.offsets().items() if d <= bound}
         assert got == _wall_sum_offsets(dia, bound), (dia.fd, bound)
-    assert len(scattering._offset_candidates(gr36, 8)) == 495
+    assert len(gr36.offsets()) == 495
 
 
 def _generators(dia):
@@ -717,27 +718,28 @@ def _generators(dia):
 
 
 def test_offset_coefficients_and_depth_against_brute_force():
+    # the table is {G c: (c, sum c_i deg_i)} over c >= 0 within the order;
+    # no offset with a negative coefficient or a half one enters it
     diagrams = [fixture_diagram(name, 6, principal)[0]
                 for name in ("a2", "running-example", "kronecker")
                 for principal in (False, True)]
     for dia in diagrams + [gr36_fixture_diagram()[0]]:
         gens = _generators(dia)
         G = Mat.from_cols([g for g, _ in gens])
+        want = {}
+        for c in product(range(dia.order + 1), repeat=len(gens)):
+            depth = sum(a * d for a, (_, d) in zip(c, gens))
+            if depth <= dia.order:
+                want[G * c] = (c, depth)
+        table = dia.offsets()
+        assert table == want
+        assert list(table) == sorted(want)
         for c in product(range(-2, 3), repeat=len(gens)):
             off = G * c
-            assert tuple(dia.offset_coefficients(off)) == c
-            want = (sum(a * d for a, (_, d) in zip(c, gens))
-                    if min(c) >= 0 else None)
-            assert dia.offset_depth(off) == want
-            # half of the first generator more: no integer combination
+            if min(c) < 0:
+                assert off not in table
             half = tuple(a + Fraction(b, 2) for a, b in zip(off, gens[0][0]))
-            assert dia.offset_coefficients(half) is None
-            assert dia.offset_depth(half) is None
-        # outside the span (only where the generators do not span)
-        for y in Mat([g for g, _ in gens]).kernel():
-            assert dia.offset_coefficients(y) is None
-            assert dia.offset_depth(tuple(a + b for a, b in zip(y, off))) \
-                is None
+            assert half not in table
 
 
 def test_dependent_wall_directions_are_rejected():
@@ -746,9 +748,18 @@ def test_dependent_wall_directions_are_rejected():
                              Wall(phi, (0, 2, 0), {1: 1}, (1,), 2, ())],
                             3, 4)
     with pytest.raises(BadParams, match="dependent"):
-        dia.offset_depth((0, 1, 0))
+        dia.offsets()
     with pytest.raises(BadParams, match="dependent"):
-        dia.offset_depth((0, 2, 0))
+        enumerate_broken_lines(dia, (1, 0, 0), (1, 1, 1))
+
+
+def test_wall_direction_outside_the_offset_table_is_rejected():
+    # a hand-built wall whose direction is no nonnegative combination of
+    # the mutable generators: its crossing terms have no depth
+    dia = initial_diagram(A2, ensemble_map(A2), 4)
+    dia.walls.append(Wall((1, 1), (1, -1), {1: 1}, (1, 1), 1, ()))
+    with pytest.raises(BadParams, match="positive exponent cone"):
+        is_consistent(dia)
 
 
 def test_wall_depth_is_the_wall_degree():
@@ -760,12 +771,13 @@ def test_wall_depth_is_the_wall_degree():
                 for name in ("a2", "running-example", "kronecker")]
     for dia in diagrams + [gr36_fixture_diagram()[0]]:
         for w in dia.walls:
-            assert dia.offset_depth(w.g) == w.deg, (w, dia.order)
+            assert dia.offsets()[w.g][1] == w.deg, (w, dia.order)
 
 
 def test_depth_queries_eliminate_once(monkeypatch):
-    # the rank check and every offset solve read one elimination of G;
-    # at_order gives a diagram with no generators yet
+    # the rank check is the table's one elimination, and every lookup
+    # after it reads the kept table; at_order gives a diagram with no
+    # table yet
     dia = fixture_diagram("kronecker", 6, False)[0]
     dia = dia.at_order(dia.order + 1)
     calls = []
@@ -773,8 +785,29 @@ def test_depth_queries_eliminate_once(monkeypatch):
     monkeypatch.setattr(Mat, "rref",
                         lambda self: calls.append(1) or inner(self))
     for w in dia.walls:
-        assert dia.offset_depth(w.g) == w.deg
+        assert dia.offsets()[w.g][1] == w.deg
+    assert dia.offsets() is dia.offsets()
     assert len(calls) == 1
+
+
+def test_degree_bound_above_the_order_is_rejected():
+    # an order-2 diagram has no wall terms past degree 2, so a bound of 8
+    # on it would read a theta function short of a term as exact; the
+    # order-8 diagram gives all 8 terms
+    dia2 = fixture_diagram("kronecker", 2)[0]
+    dia8 = fixture_diagram("kronecker", 8)[0]
+    theta, exact = theta_function(dia8, (3, -3), degree_bound=8)
+    assert exact and len(theta.coeffs) == 8
+    run = fixture_diagram("running-example", 2)[0]
+    p, q, r = (1, -3), (2, -3), (3, -6)
+    for call in (lambda: theta_function(dia2, (3, -3), degree_bound=8),
+                 lambda: theta_function(run, p, degree_bound=3),
+                 lambda: structure_constant(run, p, q, r, 3),
+                 lambda: scattering.LazyThetaTable(run, 3)[q]):
+        with pytest.raises(BadParams, match="degree bound"):
+            call()
+    assert theta_function(run, p, degree_bound=2)[0] == \
+        theta_function(run, p)[0]
 
 
 def _angle_key(a, u):
